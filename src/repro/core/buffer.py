@@ -4,18 +4,23 @@ The buffer is what a scheduler scans: the paper calls its size the
 scheduler's *lookahead* (Fig 14).  Entries are kept in arrival order.
 
 Unlike the hardware's associative scan of buffer slots, this model keeps
-*indexes* alongside the entries so every scheduler query is sub-linear
-(the policy decisions are bit-identical to a linear scan — see
-``docs/PERFORMANCE.md`` and the differential tests):
+*indexes* alongside the entries for the queries the SIMT-aware policy
+makes on every dispatch (the policy decisions are bit-identical to a
+linear scan — see ``docs/PERFORMANCE.md`` and the differential tests):
 
-* a global arrival deque and per-instruction / per-application arrival
-  deques (lazily pruned) make ``oldest`` and ``oldest_for_instruction``
-  amortised O(1);
+* a global arrival deque and per-instruction arrival deques (lazily
+  pruned) make ``oldest`` and ``oldest_for_instruction`` amortised O(1);
 * per-VPN entries live in an insertion-ordered dict keyed by arrival
   sequence, so coalescing lookups and removals are O(1);
 * a lazy min-heap over ``(score, oldest_seq, instruction)`` keys (see
   :class:`~repro.core.scoring.ScoreIndex`) answers the shortest-job-first
   query in amortised O(log n) instead of an O(n) rescan.
+
+The per-application queries only the fair-share policy makes
+(:meth:`~PendingWalkBuffer.pending_apps`,
+:meth:`~PendingWalkBuffer.min_score_entry_for_app`) are plain scans over
+at most ``capacity`` entries: indexing them cost every other policy a
+per-application heap push on every arrival and removal.
 """
 
 from __future__ import annotations
@@ -39,114 +44,76 @@ class PendingWalkBuffer:
         if capacity <= 0:
             raise ValueError("buffer capacity must be positive")
         self.capacity = capacity
-        #: Whether the score index (and per-app indexes) are maintained.
-        #: The IOMMU disables this for policies with ``needs_scores``
-        #: False (fcfs/random/batch) so their hot path skips heap pushes.
+        #: Whether the score index is maintained.  The IOMMU disables
+        #: this for policies with ``needs_scores`` False
+        #: (fcfs/random/batch) so their hot path skips heap pushes.
         self.track_scores = track_scores
-        self._entries: Dict[int, WalkBufferEntry] = {}
+        #: arrival_seq -> entry, in arrival order.  Read-only outside
+        #: this class (the IOMMU tests its length on the hot path);
+        #: mutate through :meth:`add` and :meth:`remove`.
+        self.entries: Dict[int, WalkBufferEntry] = {}
         # Duplicate-VPN entries are legal (the baseline IOMMU does not
         # merge same-page walks across instructions), so index per VPN
         # by arrival sequence; insertion order keeps the oldest first.
         self._by_vpn: Dict[int, Dict[int, WalkBufferEntry]] = {}
-        self._scores = ScoreTable()
+        #: Per-instruction scores.  The IOMMU releases a finished walk's
+        #: score here directly (see :meth:`complete_walk`).
+        self.scores = ScoreTable()
         self._arrival_seq = 0
         # Arrival-order indexes.  Deques are pruned lazily: an entry
-        # removed from ``_entries`` is dropped when it surfaces at a
+        # removed from ``entries`` is dropped when it surfaces at a
         # deque front, so each entry costs O(1) amortised per index.
         self._arrival: Deque[WalkBufferEntry] = deque()
         self._by_instruction: Dict[int, Deque[WalkBufferEntry]] = {}
-        self._by_app: Dict[int, Deque[WalkBufferEntry]] = {}
-        self._per_app: Dict[int, Dict[int, Deque[WalkBufferEntry]]] = {}
-        #: instruction -> {app -> pending-entry count}; lets a score
-        #: change (direct dispatch) refresh every affected app index.
-        self._instruction_apps: Dict[int, Dict[int, int]] = {}
         self._score_index = ScoreIndex()
-        self._app_score_index: Dict[int, ScoreIndex] = {}
         self.peak_occupancy = 0
         self.total_insertions = 0
         self.total_coalesced = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __iter__(self) -> Iterator[WalkBufferEntry]:
         """Iterate entries in arrival order."""
-        return iter(self._entries.values())
+        return iter(self.entries.values())
 
     @property
     def is_full(self) -> bool:
-        return len(self._entries) >= self.capacity
+        return len(self.entries) >= self.capacity
 
     @property
     def is_empty(self) -> bool:
-        return not self._entries
+        return not self.entries
 
     # ------------------------------------------------------------------
     # Index plumbing
     # ------------------------------------------------------------------
 
-    def _is_live(self, entry: WalkBufferEntry) -> bool:
-        return self._entries.get(entry.arrival_seq) is entry
-
-    def _front(self, queue: Deque[WalkBufferEntry]) -> Optional[WalkBufferEntry]:
-        """The oldest still-buffered entry of ``queue`` (prunes stale)."""
-        while queue:
-            entry = queue[0]
-            if self._is_live(entry):
-                return entry
-            queue.popleft()
-        return None
-
     def _oldest_of_instruction(self, instruction_id: int) -> Optional[WalkBufferEntry]:
+        """The instruction's oldest buffered entry (prunes stale ones)."""
         queue = self._by_instruction.get(instruction_id)
         if queue is None:
             return None
-        entry = self._front(queue)
-        if entry is None:
-            del self._by_instruction[instruction_id]
-        return entry
-
-    def _oldest_of_app_instruction(
-        self, app_id: int, instruction_id: int
-    ) -> Optional[WalkBufferEntry]:
-        per_instruction = self._per_app.get(app_id)
-        if per_instruction is None:
-            return None
-        queue = per_instruction.get(instruction_id)
-        if queue is None:
-            return None
-        entry = self._front(queue)
-        if entry is None:
-            del per_instruction[instruction_id]
-            if not per_instruction:
-                del self._per_app[app_id]
-        return entry
+        entries = self.entries
+        while queue:
+            entry = queue[0]
+            if entries.get(entry.arrival_seq) is entry:
+                return entry
+            queue.popleft()
+        del self._by_instruction[instruction_id]
+        return None
 
     def _push_instruction_key(self, instruction_id: int) -> None:
-        """Refresh the global score-index truth for an instruction."""
+        """Refresh the score-index truth for an instruction."""
         entry = self._oldest_of_instruction(instruction_id)
         if entry is None:
             return
-        self._score_index.push(
-            self._scores.score_of(instruction_id), entry.arrival_seq, instruction_id
-        )
-        if len(self._score_index) > max(
-            _INDEX_MIN, _INDEX_SLACK * len(self._by_instruction)
-        ):
-            self._score_index.rebuild(self._current_keys())
-
-    def _push_app_key(self, app_id: int, instruction_id: int) -> None:
-        """Refresh one application's score-index truth for an instruction."""
-        entry = self._oldest_of_app_instruction(app_id, instruction_id)
-        if entry is None:
-            return
-        index = self._app_score_index.setdefault(app_id, ScoreIndex())
+        index = self._score_index
         index.push(
-            self._scores.score_of(instruction_id), entry.arrival_seq, instruction_id
+            self.scores.score_of(instruction_id), entry.arrival_seq, instruction_id
         )
-        per_instruction = self._per_app.get(app_id, {})
-        if len(index) > max(_INDEX_MIN, _INDEX_SLACK * len(per_instruction)):
-            index.rebuild(self._current_app_keys(app_id))
+        if len(index) > max(_INDEX_MIN, _INDEX_SLACK * len(self._by_instruction)):
+            index.rebuild(self._current_keys())
 
     def _current_keys(self) -> List[ScoreKey]:
         keys: List[ScoreKey] = []
@@ -155,21 +122,7 @@ class PendingWalkBuffer:
             if entry is not None:
                 keys.append(
                     (
-                        self._scores.score_of(instruction_id),
-                        entry.arrival_seq,
-                        instruction_id,
-                    )
-                )
-        return keys
-
-    def _current_app_keys(self, app_id: int) -> List[ScoreKey]:
-        keys: List[ScoreKey] = []
-        for instruction_id in list(self._per_app.get(app_id, {})):
-            entry = self._oldest_of_app_instruction(app_id, instruction_id)
-            if entry is not None:
-                keys.append(
-                    (
-                        self._scores.score_of(instruction_id),
+                        self.scores.score_of(instruction_id),
                         entry.arrival_seq,
                         instruction_id,
                     )
@@ -182,7 +135,7 @@ class PendingWalkBuffer:
         return (
             entry is not None
             and entry.arrival_seq == oldest_seq
-            and self._scores.score_of(instruction_id) == score
+            and self.scores.score_of(instruction_id) == score
         )
 
     # ------------------------------------------------------------------
@@ -211,35 +164,41 @@ class PendingWalkBuffer:
         buffer is full — callers must check :attr:`is_full` and apply
         back-pressure.
         """
-        if self.is_full:
+        entries = self.entries
+        if len(entries) >= self.capacity:
             raise OverflowError("IOMMU buffer is full")
-        entry = WalkBufferEntry(
-            request,
-            arrival_seq=self._arrival_seq,
-            arrival_time=arrival_time,
-            estimated_accesses=estimated_accesses,
-        )
-        self._arrival_seq += 1
-        self._entries[entry.arrival_seq] = entry
-        self._by_vpn.setdefault(entry.vpn, {})[entry.arrival_seq] = entry
-        self._scores.add(entry.instruction_id, estimated_accesses)
+        seq = self._arrival_seq
+        entry = WalkBufferEntry(request, seq, arrival_time, estimated_accesses)
+        self._arrival_seq = seq + 1
+        entries[seq] = entry
+        vpn = entry.vpn
+        same_vpn = self._by_vpn.get(vpn)
+        if same_vpn is None:
+            self._by_vpn[vpn] = {seq: entry}
+        else:
+            same_vpn[seq] = entry
+        instruction_id = entry.instruction_id
+        score = self.scores.add(instruction_id, estimated_accesses)
         self._arrival.append(entry)
-        self._by_instruction.setdefault(entry.instruction_id, deque()).append(entry)
+        by_instruction = self._by_instruction
+        queue = by_instruction.get(instruction_id)
+        if queue is None:
+            queue = by_instruction[instruction_id] = deque()
+        queue.append(entry)
         if self.track_scores:
-            self._by_app.setdefault(entry.app_id, deque()).append(entry)
-            self._per_app.setdefault(entry.app_id, {}).setdefault(
-                entry.instruction_id, deque()
-            ).append(entry)
-            apps = self._instruction_apps.setdefault(entry.instruction_id, {})
-            apps[entry.app_id] = apps.get(entry.app_id, 0) + 1
-            self._push_instruction_key(entry.instruction_id)
-            # The instruction's score just changed, so every application
-            # holding pending entries of it needs a fresh key — not only
-            # the arriving entry's application.
-            for app_id in list(apps):
-                self._push_app_key(app_id, entry.instruction_id)
+            # The instruction's score just changed: push its new truth.
+            while True:  # terminates: ``entry`` itself is live
+                oldest = queue[0]
+                if entries.get(oldest.arrival_seq) is oldest:
+                    break
+                queue.popleft()
+            index = self._score_index
+            index.push(score, oldest.arrival_seq, instruction_id)
+            if len(index) > max(_INDEX_MIN, _INDEX_SLACK * len(by_instruction)):
+                index.rebuild(self._current_keys())
         self.total_insertions += 1
-        self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
+        if len(entries) > self.peak_occupancy:
+            self.peak_occupancy = len(entries)
         return entry
 
     def attach(self, entry: WalkBufferEntry, request: TranslationRequest) -> None:
@@ -258,27 +217,19 @@ class PendingWalkBuffer:
         walk is merely moving from pending to in-flight.  Call
         :meth:`complete_walk` when the walk finishes.
         """
-        if self._entries.get(entry.arrival_seq) is not entry:
+        seq = entry.arrival_seq
+        entries = self.entries
+        if entries.get(seq) is not entry:
             raise KeyError(f"entry {entry!r} is not in the buffer")
-        del self._entries[entry.arrival_seq]
+        del entries[seq]
         same_vpn = self._by_vpn[entry.vpn]
-        del same_vpn[entry.arrival_seq]
+        del same_vpn[seq]
         if not same_vpn:
             del self._by_vpn[entry.vpn]
         if self.track_scores:
-            apps = self._instruction_apps.get(entry.instruction_id)
-            if apps is not None:
-                remaining = apps.get(entry.app_id, 0) - 1
-                if remaining > 0:
-                    apps[entry.app_id] = remaining
-                else:
-                    apps.pop(entry.app_id, None)
-                    if not apps:
-                        del self._instruction_apps[entry.instruction_id]
             # The instruction's oldest pending entry may have changed;
-            # refresh its index truths (stale keys expire lazily).
+            # refresh its index truth (stale keys expire lazily).
             self._push_instruction_key(entry.instruction_id)
-            self._push_app_key(entry.app_id, entry.instruction_id)
 
     def account_direct_dispatch(
         self, instruction_id: int, estimated_accesses: int
@@ -288,17 +239,15 @@ class PendingWalkBuffer:
         Keeps the instruction's score complete even when some of its
         walks never queued.
         """
-        self._scores.add(instruction_id, estimated_accesses)
+        self.scores.add(instruction_id, estimated_accesses)
         if self.track_scores:
             # The score changed while the instruction may have buffered
             # entries (possible when a scan is in progress): refresh.
             self._push_instruction_key(instruction_id)
-            for app_id in list(self._instruction_apps.get(instruction_id, ())):
-                self._push_app_key(app_id, instruction_id)
 
     def complete_walk(self, instruction_id: int) -> None:
         """Release one walk's score accounting (after the walk finishes)."""
-        self._scores.complete(instruction_id)
+        self.scores.complete(instruction_id)
 
     # ------------------------------------------------------------------
     # Queries
@@ -306,11 +255,18 @@ class PendingWalkBuffer:
 
     def score_of(self, entry: WalkBufferEntry) -> int:
         """The aggregate score of the entry's issuing instruction."""
-        return self._scores.score_of(entry.instruction_id)
+        return self.scores.score_of(entry.instruction_id)
 
     def oldest(self) -> Optional[WalkBufferEntry]:
         """The entry that arrived first (FCFS choice).  Amortised O(1)."""
-        return self._front(self._arrival)
+        queue = self._arrival
+        entries = self.entries
+        while queue:
+            entry = queue[0]
+            if entries.get(entry.arrival_seq) is entry:
+                return entry
+            queue.popleft()
+        return None
 
     def oldest_for_instruction(self, instruction_id: int) -> Optional[WalkBufferEntry]:
         """The oldest pending entry of ``instruction_id``.  Amortised O(1)."""
@@ -323,7 +279,7 @@ class PendingWalkBuffer:
         e.arrival_seq))`` but amortised O(log n) via the lazy score
         index.  Requires ``track_scores``.
         """
-        if not self._entries:
+        if not self.entries:
             return None
         key = self._score_index.peek_valid(self._key_is_current)
         if key is None:
@@ -334,24 +290,24 @@ class PendingWalkBuffer:
         return self._oldest_of_instruction(key[2])
 
     def min_score_entry_for_app(self, app_id: int) -> Optional[WalkBufferEntry]:
-        """Same as :meth:`min_score_entry`, restricted to one application."""
-        index = self._app_score_index.get(app_id)
-        if index is None:
-            return None
+        """Same as :meth:`min_score_entry`, restricted to one application.
 
-        def is_current(key: ScoreKey) -> bool:
-            score, oldest_seq, instruction_id = key
-            entry = self._oldest_of_app_instruction(app_id, instruction_id)
-            return (
-                entry is not None
-                and entry.arrival_seq == oldest_seq
-                and self._scores.score_of(instruction_id) == score
-            )
+        A scan over the buffer (at most ``capacity`` entries).
+        """
+        score_of = self.scores.score_of
+        return min(
+            (entry for entry in self.entries.values() if entry.app_id == app_id),
+            key=lambda entry: (score_of(entry.instruction_id), entry.arrival_seq),
+            default=None,
+        )
 
-        key = index.peek_valid(is_current)
-        if key is None:
-            return None
-        return self._oldest_of_app_instruction(app_id, key[2])
+    def pending_apps(self) -> List[int]:
+        """Applications with pending entries, ordered by oldest entry.
+
+        The first-occurrence order of a scan of the buffer, which is
+        what the fair-share policy's original set comprehension saw.
+        """
+        return list(dict.fromkeys(entry.app_id for entry in self.entries.values()))
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -369,37 +325,27 @@ class PendingWalkBuffer:
         return {
             "capacity": self.capacity,
             "track_scores": self.track_scores,
-            "entries": dict(self._entries),
+            "entries": dict(self.entries),
             "by_vpn": {
                 vpn: dict(entries) for vpn, entries in self._by_vpn.items()
             },
-            "scores": self._scores.snapshot(),
+            "scores": self.scores.snapshot(),
             "arrival_seq": self._arrival_seq,
             "arrival": list(self._arrival),
             "by_instruction": {
                 iid: list(queue) for iid, queue in self._by_instruction.items()
             },
-            "by_app": {
-                app: list(queue) for app, queue in self._by_app.items()
-            },
-            "per_app": {
-                app: {iid: list(queue) for iid, queue in per.items()}
-                for app, per in self._per_app.items()
-            },
-            "instruction_apps": {
-                iid: dict(apps) for iid, apps in self._instruction_apps.items()
-            },
             "score_index": self._score_index.snapshot(),
-            "app_score_index": {
-                app: index.snapshot()
-                for app, index in self._app_score_index.items()
-            },
             "peak_occupancy": self.peak_occupancy,
             "total_insertions": self.total_insertions,
             "total_coalesced": self.total_coalesced,
         }
 
     def restore(self, state: Dict[str, object]) -> None:
+        """Adopt a :meth:`snapshot`.  Checkpoints written while the
+        buffer still indexed applications carry ``by_app``,
+        ``per_app``, ``instruction_apps`` and ``app_score_index`` keys;
+        they are ignored."""
         if state["capacity"] != self.capacity or (
             state["track_scores"] != self.track_scores
         ):
@@ -407,49 +353,17 @@ class PendingWalkBuffer:
                 "checkpoint buffer shape mismatch: capacity/track_scores "
                 "differ from this buffer's configuration"
             )
-        self._entries = dict(state["entries"])
+        self.entries = dict(state["entries"])
         self._by_vpn = {
             vpn: dict(entries) for vpn, entries in state["by_vpn"].items()
         }
-        self._scores.restore(state["scores"])
+        self.scores.restore(state["scores"])
         self._arrival_seq = state["arrival_seq"]
         self._arrival = deque(state["arrival"])
         self._by_instruction = {
             iid: deque(queue) for iid, queue in state["by_instruction"].items()
         }
-        self._by_app = {
-            app: deque(queue) for app, queue in state["by_app"].items()
-        }
-        self._per_app = {
-            app: {iid: deque(queue) for iid, queue in per.items()}
-            for app, per in state["per_app"].items()
-        }
-        self._instruction_apps = {
-            iid: dict(apps) for iid, apps in state["instruction_apps"].items()
-        }
         self._score_index.restore(state["score_index"])
-        self._app_score_index = {}
-        for app, dump in state["app_score_index"].items():
-            index = ScoreIndex()
-            index.restore(dump)
-            self._app_score_index[app] = index
         self.peak_occupancy = state["peak_occupancy"]
         self.total_insertions = state["total_insertions"]
         self.total_coalesced = state["total_coalesced"]
-
-    def pending_apps(self) -> List[int]:
-        """Applications with pending entries, ordered by oldest entry.
-
-        The order matches the first-occurrence order of a linear scan of
-        the buffer, which is what the fair-share policy's original set
-        comprehension produced.  Requires ``track_scores``.
-        """
-        fronts = []
-        for app_id in list(self._by_app):
-            entry = self._front(self._by_app[app_id])
-            if entry is None:
-                del self._by_app[app_id]
-            else:
-                fronts.append((entry.arrival_seq, app_id))
-        fronts.sort()
-        return [app_id for _, app_id in fronts]

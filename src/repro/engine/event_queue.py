@@ -13,8 +13,8 @@ binary heap holding each distinct pending timestamp once.  Same-cycle
 events — the common case in a cycle-quantised simulation — append to an
 existing bucket in O(1) with no heap sift; the heap only orders the
 far-future tail of distinct timestamps.  The run loop drains whole
-buckets at a time (:meth:`pop_bucket`), which is what enables the
-simulator's kind-batched dispatch.
+buckets at a time (:meth:`pop_bucket`, which ``Simulator`` inlines),
+which is what enables the simulator's kind-batched dispatch.
 
 Ties at the same timestamp break by insertion order (the monotonically
 increasing sequence number): buckets are appended in sequence order, so

@@ -32,7 +32,7 @@ checkpointable model must schedule only registered kinds.
 from __future__ import annotations
 
 import gc
-from heapq import heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.engine.event_queue import EventQueue
@@ -282,7 +282,6 @@ class Simulator:
         batch_handlers = self._batch_handlers
         monitors = self._monitors
         limit = float("inf") if max_events is None else max_events
-        fired = 0
         # The loop allocates heavily (event tuples, payloads) but creates
         # no reference cycles of its own; pausing the cyclic collector
         # for the drain avoids generation-0 sweeps every ~700 tuples.
@@ -300,16 +299,33 @@ class Simulator:
 
     def _run_loop(self, queue, handlers, batch_handlers, monitors, until, limit):
         fired = 0
-        while queue._times:
-            if until is not None and queue._times[0] > until:
+        unlimited = limit == float("inf")
+        stop = float("inf") if until is None else until
+        times = queue._times
+        buckets = queue._buckets
+        while times:
+            time = times[0]
+            if time > stop:
                 self._now = until
                 break
             if fired >= limit:
                 break
-            time, bucket = queue.pop_bucket()
-            self._now = time
-            i = 0
+            # EventQueue.pop_bucket, inline: it runs once per bucket.
+            heappop(times)
+            bucket = buckets.pop(time)
             n = len(bucket)
+            queue._size -= n
+            queue._floor = time
+            self._now = time
+            if n == 1 and unlimited and not monitors:
+                # Most buckets hold one event; with no budget or monitor
+                # to cap the run it needs no batching bookkeeping.
+                _, kind, payload = bucket[0]
+                handlers[kind](*payload)
+                fired += 1
+                self._events_processed += 1
+                continue
+            i = 0
             try:
                 while i < n:
                     event = bucket[i]

@@ -12,27 +12,16 @@ state, and the caller schedules its own completion event.  This keeps the
 event count (and hence Python runtime) low while preserving per-bank
 queueing behaviour.
 
-Bank state is held struct-of-arrays (two ``int64`` vectors: busy-until
-and open-row) so that :meth:`access_batch` can vectorise the timing
-computation for a whole batch of same-cycle accesses with numpy when
-every access in the batch targets a distinct bank — the common case
-when consecutive lines stripe across channels/banks.  Batches that
-revisit a bank (or are too small for numpy to pay off) take a plain
-Python loop with identical arithmetic, so both paths produce bit-equal
-results to sequential :meth:`access` calls.
+Bank state is held struct-of-arrays, as two plain lists indexed by bank
+(busy-until and open row): every page-table read indexes them once, and
+a list index is the cheapest lookup Python has.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from repro.config import LINE_SIZE, DRAMConfig
-
-#: Below this batch size the plain-Python loop beats numpy's fixed
-#: per-call overhead (measured on the XSB hot path).
-_VECTOR_MIN_BATCH = 12
 
 
 class DRAM:
@@ -41,10 +30,9 @@ class DRAM:
     def __init__(self, config: DRAMConfig) -> None:
         self.config = config
         total_banks = config.total_banks
-        #: Struct-of-arrays bank state (indexable by vector or scalar).
-        self._busy_until = np.zeros(total_banks, dtype=np.int64)
-        self._open_row = np.full(total_banks, -1, dtype=np.int64)
-        self._rows_per_bank_stride = config.row_size_bytes
+        #: Struct-of-arrays bank state, indexed by bank.
+        self._busy_until: List[int] = [0] * total_banks
+        self._open_row: List[int] = [-1] * total_banks
         # Address-mapping and timing constants, hoisted once.
         self._channels = config.channels
         self._banks_per_channel = config.ranks_per_channel * config.banks_per_rank
@@ -90,7 +78,7 @@ class DRAM:
         ) % banks_per_channel
         row = address // self._row_stride
 
-        start = int(self._busy_until[bank_index])
+        start = self._busy_until[bank_index]
         if start < now:
             start = now
         row_hit = self._open_row[bank_index] == row
@@ -111,17 +99,14 @@ class DRAM:
         if tracer is not None:
             if tracer.cat_memory:
                 tracer.dram_access(
-                    start, done, address, start - now, bool(row_hit),
-                    bank_index,
+                    start, done, address, start - now, row_hit, bank_index,
                 )
             if tracer.cat_walk:
                 # Timing receipt for the walker issuing this read in the
                 # same call stack (see Tracer.last_dram_access): lets
                 # walk_read spans split bank-queue vs row-access cycles
                 # without recording the whole memory category.
-                tracer.last_dram_access = (
-                    start, done, bank_index, bool(row_hit)
-                )
+                tracer.last_dram_access = (start, done, bank_index, row_hit)
         return done
 
     def access_batch(self, addresses: Sequence[int], now: int) -> List[int]:
@@ -129,40 +114,14 @@ class DRAM:
         ``now``; returns the completion times in address order.
 
         Equivalent — counter for counter, bank state for bank state —
-        to calling :meth:`access` sequentially over ``addresses``.  The
-        bank/row-buffer timing computation is vectorised with numpy
-        when the batch is large enough and hits each bank at most once
-        (per-bank service order then cannot matter); otherwise a plain
-        loop preserves the sequential same-bank chaining exactly.
+        to calling :meth:`access` sequentially over ``addresses``, with
+        the per-call overhead hoisted out of the loop.
         """
         if now < 0:
             raise ValueError("time must be non-negative")
-        count = len(addresses)
         tracer = self.tracer
         if tracer is not None and tracer.cat_memory:
             return [self.access(address, now) for address in addresses]
-        if count >= _VECTOR_MIN_BATCH:
-            addrs = np.asarray(addresses, dtype=np.int64)
-            lines = addrs // LINE_SIZE
-            banks = (lines % self._channels) * self._banks_per_channel + (
-                lines // self._channels
-            ) % self._banks_per_channel
-            if np.unique(banks).size == count:
-                rows = addrs // self._row_stride
-                starts = np.maximum(self._busy_until[banks], now)
-                hits = self._open_row[banks] == rows
-                done = starts + np.where(hits, self._t_cas, self._t_miss)
-                self._busy_until[banks] = done + self._t_burst
-                self._open_row[banks] = rows
-                hit_count = int(np.count_nonzero(hits))
-                self.accesses += count
-                self.row_hits += hit_count
-                self.row_conflicts += count - hit_count
-                self.total_latency += int(done.sum()) - count * now
-                self.total_queue_delay += int(starts.sum()) - count * now
-                return done.tolist()
-        # Scalar fallback: duplicate banks (service order chains through
-        # busy_until) or a batch too small to amortise numpy.
         channels = self._channels
         banks_per_channel = self._banks_per_channel
         row_stride = self._row_stride
@@ -182,7 +141,7 @@ class DRAM:
                 line // channels
             ) % banks_per_channel
             row = address // row_stride
-            start = int(busy_until[bank_index])
+            start = busy_until[bank_index]
             if start < now:
                 start = now
             if open_row[bank_index] == row:
@@ -196,6 +155,7 @@ class DRAM:
             total_latency += done - now
             total_queue_delay += start - now
             append(done)
+        count = len(addresses)
         self.accesses += count
         self.row_hits += hits
         self.row_conflicts += count - hits
@@ -226,9 +186,7 @@ class DRAM:
 
     def snapshot(self) -> Dict[str, object]:
         return {
-            "banks": list(
-                zip(self._busy_until.tolist(), self._open_row.tolist())
-            ),
+            "banks": list(zip(self._busy_until, self._open_row)),
             "accesses": self.accesses,
             "row_hits": self.row_hits,
             "row_conflicts": self.row_conflicts,
@@ -238,12 +196,8 @@ class DRAM:
 
     def restore(self, state: Dict[str, object]) -> None:
         banks = state["banks"]
-        self._busy_until = np.array(
-            [busy_until for busy_until, _ in banks], dtype=np.int64
-        )
-        self._open_row = np.array(
-            [open_row for _, open_row in banks], dtype=np.int64
-        )
+        self._busy_until = [busy_until for busy_until, _ in banks]
+        self._open_row = [open_row for _, open_row in banks]
         self.accesses = state["accesses"]
         self.row_hits = state["row_hits"]
         self.row_conflicts = state["row_conflicts"]

@@ -128,7 +128,7 @@ class MemorySubsystem:
         self.l2_cache.fill(line)
         l1.fill(line)
         if self.dram is not None:
-            start = self._sim.now + l2_latency
+            start = self._sim._now + l2_latency
             done = self.dram.access(physical_address, start)
             if self._injector is not None:
                 done += self._injector.dram_padding(start)
@@ -220,7 +220,7 @@ class MemorySubsystem:
     ) -> None:
         self.page_table_reads += 1
         if self.dram is not None:
-            now = self._sim.now
+            now = self._sim._now
             queue_before = self.dram.total_queue_delay
             done = self.dram.access(physical_address, now)
             self.pt_queue_cycles += self.dram.total_queue_delay - queue_before

@@ -85,10 +85,11 @@ class IOMMU:
             seed=config.scheduler_seed,
             aging_threshold=config.aging_threshold,
         )
-        # Policies that ignore scores (fcfs/random/batch) skip the
-        # buffer's score-index maintenance on their hot path.
+        # Policies that ignore scores (fcfs/random/batch) skip the PWC
+        # score probe and the buffer's score index on their hot path.
+        self._needs_scores = self.scheduler.needs_scores
         self.buffer = PendingWalkBuffer(
-            config.buffer_entries, track_scores=self.scheduler.needs_scores
+            config.buffer_entries, track_scores=self._needs_scores
         )
         self.walkers: List[PageTableWalker] = [
             PageTableWalker(
@@ -186,13 +187,13 @@ class IOMMU:
     def translate(self, request: TranslationRequest) -> None:
         """Handle a translation request arriving from the GPU (step 5)."""
         self.requests += 1
-        request.iommu_arrival_time = self._sim.now
-
-        pfn = self.l1_tlb.lookup(request.vpn)
+        request.iommu_arrival_time = self._sim._now
+        vpn = request.vpn
+        pfn = self.l1_tlb.lookup(vpn)
         if pfn is None:
-            pfn = self.l2_tlb.lookup(request.vpn)
+            pfn = self.l2_tlb.lookup(vpn)
             if pfn is not None:
-                self.l1_tlb.insert(request.vpn, pfn)
+                self.l1_tlb.insert(vpn, pfn)
         if pfn is not None:
             self.tlb_hits += 1
             self._sim.post(
@@ -224,7 +225,7 @@ class IOMMU:
     def _handle_tlb_miss(self, request: TranslationRequest) -> None:
         if self.tracer is not None:
             self.tracer.walk_created(
-                self._sim.now, request.vpn, request.instruction_id,
+                self._sim._now, request.vpn, request.instruction_id,
                 request.wavefront_id,
             )
         if self._try_coalesce(request):
@@ -260,9 +261,9 @@ class IOMMU:
         idle = self._idle_walker()
         if idle is not None:
             entry = WalkBufferEntry(
-                request, arrival_seq=-1, arrival_time=self._sim.now
+                request, arrival_seq=-1, arrival_time=self._sim._now
             )
-            if self.scheduler.needs_scores:
+            if self._needs_scores:
                 # Keep the instruction's aggregate score complete even
                 # for walks that bypass the buffer.
                 accesses, pinned = self.pwc.score(request.vpn)
@@ -272,7 +273,7 @@ class IOMMU:
                 )
             self._dispatch(idle, entry)
             return
-        if self.buffer.is_full:
+        if len(self.buffer.entries) >= self.buffer.capacity:
             self._overflow.append(request)
             self.overflow_peak = max(self.overflow_peak, len(self._overflow))
             return
@@ -303,24 +304,20 @@ class IOMMU:
         return False
 
     def _buffer_request(self, request: TranslationRequest) -> None:
+        now = self._sim._now
         estimate = 0
         pinned: tuple = ()
-        if self.scheduler.needs_scores:
+        if self._needs_scores:
             estimate, pinned = self.pwc.score(request.vpn)
-        entry = self.buffer.add(
-            request, arrival_time=self._sim.now, estimated_accesses=estimate
-        )
+        buffer = self.buffer
+        entry = buffer.add(request, now, estimate)
         entry.pinned_levels = pinned
-        self.scheduler.on_arrival(entry, self.buffer)
+        self.scheduler.on_arrival(entry, buffer)
         tracer = self.tracer
         if tracer is not None:
-            tracer.walk_enqueued(
-                self._sim.now, request.vpn, request.instruction_id, estimate
-            )
+            tracer.walk_enqueued(now, request.vpn, request.instruction_id, estimate)
             if tracer.cat_counter:
-                tracer.counter(
-                    self._sim.now, "pending_walks", len(self.buffer)
-                )
+                tracer.counter(now, "pending_walks", len(buffer))
 
     # ------------------------------------------------------------------
     # Walker management
@@ -341,72 +338,91 @@ class IOMMU:
 
     def _dispatch(self, walker: PageTableWalker, entry: WalkBufferEntry) -> None:
         self._busy_walkers += 1
-        entry.dispatch_time = self._sim.now
-        entry.dispatch_seq = self._dispatch_seq
-        self._dispatch_seq += 1
-        if entry.is_prefetch:
+        now = self._sim._now
+        seq = self._dispatch_seq
+        entry.dispatch_time = now
+        entry.dispatch_seq = seq
+        self._dispatch_seq = seq + 1
+        if entry.requests[0].wavefront_id == PREFETCH_WAVEFRONT:
             self.prefetch_walks += 1
         else:
             self.walks_dispatched += 1
-            self.dispatches_by_instruction.setdefault(
-                entry.instruction_id, []
-            ).append(entry.dispatch_seq)
+            seqs = self.dispatches_by_instruction.get(entry.instruction_id)
+            if seqs is None:
+                self.dispatches_by_instruction[entry.instruction_id] = [seq]
+            else:
+                seqs.append(seq)
             if entry.arrival_seq == -1:
                 # Direct dispatch bypassed the scheduler; let it observe
                 # the instruction for batching continuity.
                 self.scheduler.note_dispatch(entry)
-        self._walking.setdefault(entry.vpn, []).append(entry)
+        walking = self._walking.get(entry.vpn)
+        if walking is None:
+            self._walking[entry.vpn] = [entry]
+        else:
+            walking.append(entry)
         tracer = self.tracer
         if tracer is not None:
             tracer.walk_scheduled(
-                self._sim.now, entry.vpn, entry.instruction_id,
-                entry.arrival_time, walker.walker_id, entry.dispatch_seq,
+                now, entry.vpn, entry.instruction_id,
+                entry.arrival_time, walker.walker_id, seq,
             )
             if tracer.cat_counter:
-                tracer.counter(
-                    self._sim.now, "pending_walks", len(self.buffer)
-                )
+                tracer.counter(now, "pending_walks", len(self.buffer))
         walker.start(entry, self._walk_complete)
 
     def _walk_complete(
         self, walker: PageTableWalker, entry: WalkBufferEntry, pfn: int, accesses: int
     ) -> None:
+        # One straight-line path per walk: release, reply, refill the
+        # buffer from the overflow queue, schedule and dispatch.
         self._busy_walkers -= 1
-        in_flight = self._walking[entry.vpn]
+        vpn = entry.vpn
+        in_flight = self._walking[vpn]
         in_flight.remove(entry)
         if not in_flight:
-            del self._walking[entry.vpn]
-        if self.scheduler.needs_scores and not entry.is_prefetch:
-            self.buffer.complete_walk(entry.instruction_id)
-        if not entry.is_prefetch and entry.dispatch_time is not None:
-            self.total_queue_wait += entry.dispatch_time - entry.arrival_time
-            self.total_service_time += self._sim.now - entry.dispatch_time
-        if self.tracer is not None:
-            self.tracer.walk_completed(
-                self._sim.now, entry.vpn, entry.instruction_id, accesses
-            )
-        self.l2_tlb.insert(entry.vpn, pfn)
-        if entry.is_prefetch:
+            del self._walking[vpn]
+        now = self._sim._now
+        requests = entry.requests
+        prefetch = requests[0].wavefront_id == PREFETCH_WAVEFRONT
+        if not prefetch:
+            if self._needs_scores:
+                self.buffer.scores.complete(entry.instruction_id)
+            dispatch_time = entry.dispatch_time
+            if dispatch_time is not None:
+                self.total_queue_wait += dispatch_time - entry.arrival_time
+                self.total_service_time += now - dispatch_time
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.walk_completed(now, vpn, entry.instruction_id, accesses)
+        self.l2_tlb.insert(vpn, pfn)
+        if prefetch:
             # Prefetched translations stay in the (larger) L2 TLB until
             # demanded.  Demand requests that coalesced onto the prefetch
             # while it was in flight still get their replies.
-            for request in entry.requests[1:]:
-                self._reply(request, pfn, walk_accesses=accesses)
+            requests = requests[1:]
+        else:
+            self.l1_tlb.insert(vpn, pfn)
+            if self._promote_threshold:
+                self._note_region_walk(vpn)
+        reply_to = self.reply_to
+        for request in requests:
+            request.walk_accesses = accesses
+            if request.on_complete is not None:
+                request.on_complete(request, pfn)
+            elif reply_to is not None:
+                reply_to(request, pfn)
+        if self._overflow:
             self._drain_overflow()
+        if self.buffer.entries:
             self._schedule_next()
-            return
-        self.l1_tlb.insert(entry.vpn, pfn)
-        if self._promote_threshold:
-            self._note_region_walk(entry.vpn)
-        for request in entry.requests:
-            self._reply(request, pfn, walk_accesses=accesses)
-        self._drain_overflow()
-        self._schedule_next()
-        # WaSP-style distance-ahead walk prefetch (distance 1 is the
-        # legacy ``prefetch_next_page`` behaviour).  Each step re-checks
-        # for an idle walker, so demand traffic still always wins.
-        for step in range(1, self._prefetch_distance + 1):
-            self._maybe_prefetch(entry.vpn + step)
+        if not prefetch:
+            # WaSP-style distance-ahead walk prefetch (distance 1 is the
+            # legacy ``prefetch_next_page`` behaviour).  Each step
+            # re-checks for an idle walker, so demand traffic still
+            # always wins.
+            for step in range(1, self._prefetch_distance + 1):
+                self._maybe_prefetch(vpn + step)
 
     def _note_region_walk(self, vpn: int) -> None:
         """Mosaic promotion bookkeeping after a demand walk completes.
@@ -433,11 +449,13 @@ class IOMMU:
 
     def _drain_overflow(self) -> None:
         """Move overflowed requests into freed buffer slots (FIFO)."""
-        while self._overflow and not self.buffer.is_full:
-            request = self._overflow.popleft()
-            self.total_overflow_wait += (
-                self._sim.now - request.iommu_arrival_time
-            )
+        overflow = self._overflow
+        entries = self.buffer.entries
+        capacity = self.buffer.capacity
+        now = self._sim._now
+        while overflow and len(entries) < capacity:
+            request = overflow.popleft()
+            self.total_overflow_wait += now - request.iommu_arrival_time
             # Re-run the coalescing check: the landscape may have changed
             # while the request sat in the overflow queue.
             if self._try_coalesce(request):
@@ -451,12 +469,20 @@ class IOMMU:
         the scheduler for that long before its walk dispatches (the
         hardware scan of the pending buffer).
         """
-        scan_latency = (
-            self.config.scan_latency_cycles if self.scheduler.requires_scan else 0
-        )
-        while not self.buffer.is_empty:
-            walker = self._idle_walker()
-            if walker is None:
+        scheduler = self.scheduler
+        buffer = self.buffer
+        entries = buffer.entries
+        walkers = self.walkers
+        scan_latency = self.config.scan_latency_cycles if scheduler.requires_scan else 0
+        while entries:
+            # The idle-walker search, inline: a full pool means no scan.
+            if self._busy_walkers >= len(walkers):
+                return
+            now = self._sim._now
+            for walker in walkers:
+                if walker._current is None and now >= walker.stalled_until:
+                    break
+            else:
                 return
             if scan_latency > 0:
                 if self._scan_in_progress:
@@ -465,16 +491,17 @@ class IOMMU:
                 self._sim.post(scan_latency, "iommu.finish_scan")
                 return
             entry = (
-                self.scheduler.select(self.buffer)
+                scheduler.select(buffer)
                 if self.profiler is None
                 else self._timed_select()
             )
             if entry is None:
                 return
-            self.buffer.remove(entry)
-            self.scheduler.resync(self.buffer)
+            buffer.remove(entry)
+            scheduler.resync(buffer)
             self._dispatch(walker, entry)
-            self._drain_overflow()
+            if self._overflow:
+                self._drain_overflow()
 
     def _timed_select(self):
         """One scheduler selection with its wall time credited to the
@@ -489,7 +516,7 @@ class IOMMU:
         """Complete one delayed scheduler scan and dispatch its pick."""
         self._scan_in_progress = False
         walker = self._idle_walker()
-        if walker is None or self.buffer.is_empty:
+        if walker is None or not self.buffer.entries:
             return
         entry = (
             self.scheduler.select(self.buffer)
@@ -513,7 +540,7 @@ class IOMMU:
         walker = self._idle_walker()
         if (
             walker is None
-            or not self.buffer.is_empty
+            or self.buffer.entries
             or self._overflow
             or self._iru_staging
         ):
@@ -527,9 +554,9 @@ class IOMMU:
             instruction_id=0,
             wavefront_id=PREFETCH_WAVEFRONT,
             cu_id=-1,
-            issue_time=self._sim.now,
+            issue_time=self._sim._now,
         )
-        entry = WalkBufferEntry(request, arrival_seq=-1, arrival_time=self._sim.now)
+        entry = WalkBufferEntry(request, arrival_seq=-1, arrival_time=self._sim._now)
         self._dispatch(walker, entry)
 
     def resume_walkers(self) -> None:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import PAGE_SIZE, PAGE_TABLE_LEVELS
-from repro.mmu.address import PAGE_SHIFT, pte_address
+from repro.config import BITS_PER_LEVEL, PAGE_SIZE, PAGE_TABLE_LEVELS
+from repro.mmu.address import LEVEL_MASK, PAGE_SHIFT, pte_address
 from repro.mmu.geometry import BASE_4K, PageGeometry
 
 
@@ -77,6 +77,12 @@ class PageTable:
     ) -> None:
         self._allocator = allocator or FrameAllocator()
         self.geometry = geometry
+        #: Root-first ``(level, index shift)`` of the interior levels a
+        #: walk descends through to reach the leaf (whose shift is 0).
+        self._descent: Tuple[Tuple[int, int], ...] = tuple(
+            (level, BITS_PER_LEVEL * (level - geometry.leaf_level))
+            for level in range(PAGE_TABLE_LEVELS, geometry.leaf_level, -1)
+        )
         self._root = _Node(self._allocate_node_address())
         #: Leaf mappings: unit number -> pfn (unit-sized frame number).
         self._mappings: Dict[int, int] = {}
@@ -113,10 +119,9 @@ class PageTable:
         return self._mappings.get(vpn)
 
     def _map(self, vpn: int) -> int:
-        geometry = self.geometry
         node = self._root
-        for level in range(PAGE_TABLE_LEVELS, geometry.leaf_level, -1):
-            index = geometry.level_index(vpn, level)
+        for _, shift in self._descent:
+            index = (vpn >> shift) & LEVEL_MASK
             child = node.children.get(index)
             if child is None:
                 child = _Node(self._allocate_node_address())
@@ -173,16 +178,17 @@ class PageTable:
         if cached is not None:
             return cached
         self.translate(vpn)
-        geometry = self.geometry
         addresses: List[Tuple[int, int]] = []
         node = self._root
-        for level in range(PAGE_TABLE_LEVELS, geometry.leaf_level, -1):
-            index = geometry.level_index(vpn, level)
+        for level, shift in self._descent:
+            index = (vpn >> shift) & LEVEL_MASK
             addresses.append((level, pte_address(node.base_address, index)))
             node = node.children[index]
-        leaf = geometry.leaf_level
         addresses.append(
-            (leaf, pte_address(node.base_address, geometry.level_index(vpn, leaf)))
+            (
+                self.geometry.leaf_level,
+                pte_address(node.base_address, vpn & LEVEL_MASK),
+            )
         )
         path = tuple(addresses)
         self._walk_cache[vpn] = path

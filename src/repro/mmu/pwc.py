@@ -45,7 +45,10 @@ class _Entry:
 
 
 class _LevelCache:
-    """One per-level set-associative cache with counter-guarded LRU."""
+    """One per-level set-associative cache with counter-guarded LRU.
+
+    :class:`PageWalkCache` indexes ``_sets`` directly on its hot paths.
+    """
 
     def __init__(self, config: PWCConfig) -> None:
         self._ways = config.associativity
@@ -53,35 +56,10 @@ class _LevelCache:
         self._sets: List["OrderedDict[int, _Entry]"] = [
             OrderedDict() for _ in range(self._num_sets)
         ]
-        self._counter_max = (1 << config.counter_bits) - 1
         self._guard = config.counter_guard
         self.hits = 0
         self.misses = 0
         self.guarded_evictions_avoided = 0
-
-    def _set_for(self, tag: int) -> "OrderedDict[int, _Entry]":
-        return self._sets[tag % self._num_sets]
-
-    def touch(self, tag: int) -> None:
-        entries = self._set_for(tag)
-        if tag in entries:
-            entries.move_to_end(tag)
-
-    def bump_counter(self, tag: int, delta: int) -> None:
-        entries = self._set_for(tag)
-        entry = entries.get(tag)
-        if entry is None:
-            return
-        entry.counter = max(0, min(self._counter_max, entry.counter + delta))
-
-    def insert(self, tag: int) -> None:
-        entries = self._set_for(tag)
-        if tag in entries:
-            entries.move_to_end(tag)
-            return
-        if len(entries) >= self._ways:
-            self._evict(entries)
-        entries[tag] = _Entry()
 
     def snapshot(self) -> Dict[str, object]:
         """Set contents (tag -> counter, in LRU order) plus counters."""
@@ -128,23 +106,37 @@ class PageWalkCache:
         self._levels: Dict[int, _LevelCache] = {
             level: _LevelCache(config) for level in self._cached_levels
         }
-        # Hot-path precomputation: ``vpn_prefix(vpn, level)`` is a plain
-        # shift once the level is known to be in range, and probe order
-        # (deepest first) never changes.  ``_shifts`` covers every level
-        # a pin or touch can name (leaf..root).
+        # Hot-path precomputation.  ``vpn_prefix(vpn, level)`` is a plain
+        # shift for a cached level, and probe order never changes.
         leaf = geometry.leaf_level
-        self._shifts: Dict[int, int] = {
-            level: BITS_PER_LEVEL * (level - leaf)
-            for level in range(leaf, PAGE_TABLE_LEVELS + 1)
+        #: level -> (cache, tag shift).
+        self._slots: Dict[int, Tuple[_LevelCache, int]] = {
+            level: (self._levels[level], BITS_PER_LEVEL * (level - leaf))
+            for level in self._cached_levels
         }
-        self._probe_order: Tuple[Tuple[int, _LevelCache, int], ...] = tuple(
-            (level, self._levels[level], self._shifts[level])
+        #: Deepest level first: ``(level, cache, shift, accesses, pins,
+        #: path)``.  ``accesses`` is what a walk still needs after a hit
+        #: at ``level``; ``pins`` are the levels from ``level`` up to the
+        #: root (the entries a hit relies on) and ``path`` their slots.
+        self._probe_order = tuple(
+            (
+                level,
+                *self._slots[level],
+                level - leaf,
+                tuple(range(level, PAGE_TABLE_LEVELS + 1)),
+                tuple(
+                    self._slots[upper]
+                    for upper in range(level, PAGE_TABLE_LEVELS + 1)
+                ),
+            )
             for level in reversed(self._cached_levels)
         )
         self._fill_order: Tuple[Tuple[_LevelCache, int], ...] = tuple(
-            (self._levels[level], self._shifts[level])
-            for level in self._cached_levels
+            self._slots[level] for level in self._cached_levels
         )
+        #: Accesses a walk needs when every level misses.
+        self._miss_accesses = geometry.walk_levels
+        self._counter_max = (1 << config.counter_bits) - 1
         #: Optional :class:`~repro.obs.trace.Tracer` plus a clock
         #: closure (the PWC holds no simulator reference).
         self.tracer = None
@@ -154,24 +146,6 @@ class PageWalkCache:
         """Record probes into ``tracer``; ``now`` supplies timestamps."""
         self.tracer = tracer
         self._trace_now = now
-
-    def _deepest_hit(self, vpn: int, count_stats: bool) -> int:
-        """Deepest cached level for ``vpn``; 0 when nothing is cached.
-
-        Probes from the deepest cached level up to the root — a hit at
-        level *n* implies the walker needs no level above *n*.
-        """
-        for level, cache, shift in self._probe_order:
-            tag = vpn >> shift
-            present = tag in cache._sets[tag % cache._num_sets]
-            if count_stats:
-                if present:
-                    cache.hits += 1
-                else:
-                    cache.misses += 1
-            if present:
-                return level
-        return 0
 
     def accesses_for_hit_level(self, level: int) -> int:
         """Memory accesses a walk needs given the deepest PWC hit level."""
@@ -191,26 +165,37 @@ class PageWalkCache:
         scoring and walking (pins leak until saturation, or unrelated
         entries lose their guard).
         """
-        level = self._deepest_hit(vpn, count_stats=True)
+        level = 0
+        accesses = self._miss_accesses
         pinned_levels: Tuple[int, ...] = ()
-        if level:
-            pinned_levels = tuple(range(level, PAGE_TABLE_LEVELS + 1))
-            shifts = self._shifts
-            for pinned in pinned_levels:
-                self._levels[pinned].bump_counter(vpn >> shifts[pinned], +1)
-        accesses = self.accesses_for_hit_level(level)
+        # Probe from the deepest cached level up to the root: a hit at
+        # level *n* implies the walker needs no level above *n*.
+        for hit_level, cache, shift, hit_accesses, pins, path in self._probe_order:
+            tag = vpn >> shift
+            if tag not in cache._sets[tag % cache._num_sets]:
+                cache.misses += 1
+                continue
+            cache.hits += 1
+            level, accesses, pinned_levels = hit_level, hit_accesses, pins
+            counter_max = self._counter_max
+            for pin_cache, pin_shift in path:
+                tag = vpn >> pin_shift
+                entry = pin_cache._sets[tag % pin_cache._num_sets].get(tag)
+                if entry is not None and entry.counter < counter_max:
+                    entry.counter += 1
+            break
         tracer = self.tracer
         if tracer is not None and tracer.cat_pwc:
             tracer.pwc_probe(self._trace_now(), "score", vpn, level, accesses)
         return accesses, pinned_levels
 
-    def estimate_accesses(self, vpn: int) -> int:
-        """Back-compat wrapper over :meth:`score` (drops the pin record)."""
-        return self.score(vpn)[0]
-
     def peek_accesses(self, vpn: int) -> int:
         """Estimate accesses without touching counters or stats."""
-        return self.accesses_for_hit_level(self._deepest_hit(vpn, count_stats=False))
+        for _, cache, shift, accesses, _, _ in self._probe_order:
+            tag = vpn >> shift
+            if tag in cache._sets[tag % cache._num_sets]:
+                return accesses
+        return self._miss_accesses
 
     def walk_lookup(self, vpn: int, pinned_levels: Tuple[int, ...] = ()) -> int:
         """Walker lookup (action 2-b): returns accesses needed; unpins entries.
@@ -221,14 +206,28 @@ class PageWalkCache:
         hits now.  A walk that was never scored (non-scoring scheduler,
         prefetch) passes the default empty tuple and unpins nothing.
         """
-        level = self._deepest_hit(vpn, count_stats=True)
-        shifts = self._shifts
+        slots = self._slots
         for pinned in pinned_levels:
-            self._levels[pinned].bump_counter(vpn >> shifts[pinned], -1)
-        if level:
-            for hit in range(level, PAGE_TABLE_LEVELS + 1):
-                self._levels[hit].touch(vpn >> shifts[hit])
-        accesses = self.accesses_for_hit_level(level)
+            cache, shift = slots[pinned]
+            tag = vpn >> shift
+            entry = cache._sets[tag % cache._num_sets].get(tag)
+            if entry is not None and entry.counter > 0:
+                entry.counter -= 1
+        level = 0
+        accesses = self._miss_accesses
+        for hit_level, cache, shift, hit_accesses, _, path in self._probe_order:
+            tag = vpn >> shift
+            if tag not in cache._sets[tag % cache._num_sets]:
+                cache.misses += 1
+                continue
+            cache.hits += 1
+            level, accesses = hit_level, hit_accesses
+            for touch_cache, touch_shift in path:
+                tag = vpn >> touch_shift
+                entries = touch_cache._sets[tag % touch_cache._num_sets]
+                if tag in entries:
+                    entries.move_to_end(tag)
+            break
         tracer = self.tracer
         if tracer is not None and tracer.cat_pwc:
             tracer.pwc_probe(self._trace_now(), "walk", vpn, level, accesses)
@@ -237,7 +236,14 @@ class PageWalkCache:
     def fill(self, vpn: int) -> None:
         """Install the upper-level entries discovered by a completed walk."""
         for cache, shift in self._fill_order:
-            cache.insert(vpn >> shift)
+            tag = vpn >> shift
+            entries = cache._sets[tag % cache._num_sets]
+            if tag in entries:
+                entries.move_to_end(tag)
+                continue
+            if len(entries) >= cache._ways:
+                cache._evict(entries)
+            entries[tag] = _Entry()
 
     def flush(self) -> int:
         """Invalidate every cached entry at every level (fault injection).

@@ -102,7 +102,7 @@ class PageTableWalker:
 
     @property
     def is_busy(self) -> bool:
-        return self._current is not None or self._sim.now < self.stalled_until
+        return self._current is not None or self._sim._now < self.stalled_until
 
     @property
     def current_entry(self) -> Optional[WalkBufferEntry]:
@@ -113,7 +113,7 @@ class PageTableWalker:
         if self._current is not None:
             raise RuntimeError(f"walker {self.walker_id} is already busy")
         self._current = entry
-        self._walk_start = self._sim.now
+        self._walk_start = self._sim._now
         self._on_complete = on_complete
 
         accesses_needed = self._pwc.walk_lookup(entry.vpn, entry.pinned_levels)
@@ -138,9 +138,9 @@ class PageTableWalker:
         self.memory_accesses += 1
         if tracer is not None:
             if tracer.cat_memory:
-                tracer.ptw_read(self._sim.now, self.walker_id, address)
+                tracer.ptw_read(self._sim._now, self.walker_id, address)
             if tracer.cat_walk:
-                self._read_issue = self._sim.now
+                self._read_issue = self._sim._now
                 self._read_level = level
                 self._read_address = address
                 # The reservation DRAM computes timing synchronously and
@@ -161,7 +161,7 @@ class PageTableWalker:
         page-table-read hook, as in unit tests) reports the whole span
         as row access with ``bank = -1``.
         """
-        now = self._sim.now
+        now = self._sim._now
         issue = self._read_issue
         self._read_issue = -1
         meta = self._read_meta
@@ -198,10 +198,10 @@ class PageTableWalker:
         accesses = self._total_accesses
         pfn = self._page_table.translate(entry.vpn)
         self._pwc.fill(entry.vpn)
-        self._finish_time = self._sim.now
+        self._finish_time = self._sim._now
         if self._injector is not None:
             action, extra = self._injector.on_walk_completion(
-                self.walker_id, entry, self._sim.now
+                self.walker_id, entry, self._sim._now
             )
             if action == "drop":
                 # The completion signal is lost: the walker wedges with
@@ -222,12 +222,12 @@ class PageTableWalker:
         self._pending = None
         entry = self._current
         self.walks_completed += 1
-        self.busy_cycles += self._sim.now - self._walk_start
-        self.held_cycles += self._sim.now - self._finish_time
+        self.busy_cycles += self._sim._now - self._walk_start
+        self.held_cycles += self._sim._now - self._finish_time
         self._current = None
         if self._tracer is not None:
             self._tracer.walk_span(
-                self._walk_start, self._sim.now, self.walker_id,
+                self._walk_start, self._sim._now, self.walker_id,
                 entry.vpn, entry.instruction_id, accesses,
             )
         self._on_complete(self, entry, pfn, accesses)

@@ -9,7 +9,7 @@ for speed).  The coalescer in :mod:`repro.gpu.coalescer` does the rest.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from repro.config import PAGE_SIZE
 
@@ -47,6 +47,26 @@ class MemoryRegion:
                 f"{self.name}[{index}] (elem {element_size}B) outside region"
             )
         return address
+
+    def lanes(
+        self, start: int, offsets: Sequence[int], element_size: int = 8
+    ) -> List[int]:
+        """Addresses of elements ``start + offset``, one per lane offset.
+
+        Equal to ``[self.element(start + offset, element_size) for offset
+        in offsets]``, but bounds-checked once, on the lowest and highest
+        offset.  When that check fails the per-lane calls run, so the
+        same :class:`IndexError` is raised.
+        """
+        first = self.base + start * element_size
+        if (
+            offsets
+            and element_size > 0
+            and first + min(offsets) * element_size >= self.base
+            and first + max(offsets) * element_size < self.end
+        ):
+            return [first + offset * element_size for offset in offsets]
+        return [self.element(start + offset, element_size) for offset in offsets]
 
     def __repr__(self) -> str:
         return f"MemoryRegion({self.name!r}, base={self.base:#x}, size={self.size})"

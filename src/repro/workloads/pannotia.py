@@ -48,9 +48,14 @@ class _CSRGraphWorkload(Workload):
         # frontier nodes are contiguous), so translations almost always
         # hit the TLBs — the paper's "regular" behaviour.
         advance = max(1, span_elements // 4)
+        # Each lane's fixed share of the span (its node's edge list).
+        lane_spans = [
+            (lane * span_elements) // wavefront_size for lane in range(wavefront_size)
+        ]
         trace: Trace = []
         for wavefront_index in range(num_wavefronts):
             rng = random.Random(f"{self.seed}:{self.abbrev}:{wavefront_index}")
+            jitter = rng.randrange
             stream: WavefrontTrace = []
             node_cursor = (wavefront_index * wavefront_size * iterations) % (
                 node_elements - wavefront_size * (iterations + 1)
@@ -70,16 +75,11 @@ class _CSRGraphWorkload(Workload):
                 )
                 # 2. Gather the nodes' edge lists: a short contiguous run
                 # of the edge array, with small per-lane jitter.
-                addresses = [
-                    self.edges.element(
-                        edge_cursor
-                        + (lane * span_elements) // wavefront_size
-                        + rng.randrange(8),
-                        INT,
+                stream.append(
+                    self.edges.lanes(
+                        edge_cursor, [share + jitter(8) for share in lane_spans], INT
                     )
-                    for lane in range(wavefront_size)
-                ]
-                stream.append(addresses)
+                )
                 edge_cursor += advance
             trace.append(stream)
         return trace

@@ -62,25 +62,21 @@ class NW(Workload):
         tile_rows = self.tile_rows
         tile_cols = wavefront_size // tile_rows
         span = tile_cols + tile_rows + diagonals * self.diagonal_step
+        # Each wavefront owns a 16-row band and walks its tile along the
+        # anti-diagonal: lane l works on cell (i0 + l%16, j0 + l//16 - l%16),
+        # i.e. element (i0 * n + j0) plus a fixed per-lane offset.
+        tile = [
+            (lane % tile_rows) * n + lane // tile_rows - lane % tile_rows
+            for lane in range(wavefront_size)
+        ]
         for wavefront_index in range(num_wavefronts):
             stream: WavefrontTrace = []
-            # Each wavefront owns a 16-row band and walks its tile along
-            # the anti-diagonal: lane l works on cell
-            # (i0 + l%16, j0 + l//16 - l%16).
             base_i = (wavefront_index * tile_rows) % (n - tile_rows)
             j_base = tile_rows + (wavefront_index * 23) % max(1, n - span - 1)
             for step in range(diagonals):
                 j0 = j_base + step * self.diagonal_step
                 for region in (self.reference, self.score):
-                    addresses = [
-                        region.element(
-                            (base_i + lane % tile_rows) * n
-                            + (j0 + lane // tile_rows - lane % tile_rows),
-                            INT,
-                        )
-                        for lane in range(wavefront_size)
-                    ]
-                    stream.append(addresses)
+                    stream.append(region.lanes(base_i * n + j0, tile, INT))
             trace.append(stream)
         return trace
 

@@ -27,13 +27,29 @@ from repro.workloads.base import (
 )
 
 
+def _progression(
+    region: MemoryRegion, start: int, stride: int, lanes: int, element_size: int
+) -> LaneAddresses:
+    """Lane ``l`` at element ``start + l * stride``, bounds-checked once.
+
+    Equal to calling ``region.element`` per lane, which is what runs (and
+    raises the same :class:`IndexError`) when the first or last lane
+    falls outside the region.
+    """
+    first = region.base + start * element_size
+    step = stride * element_size
+    if step > 0 and region.base <= first and first + (lanes - 1) * step < region.end:
+        return list(range(first, first + lanes * step, step))
+    return [
+        region.element(start + lane * stride, element_size) for lane in range(lanes)
+    ]
+
+
 def coalesced(
     region: MemoryRegion, start_element: int, lanes: int, element_size: int = 8
 ) -> LaneAddresses:
     """All lanes access consecutive elements from ``start_element``."""
-    return [
-        region.element(start_element + lane, element_size) for lane in range(lanes)
-    ]
+    return _progression(region, start_element, 1, lanes, element_size)
 
 
 def row_strided(
@@ -49,10 +65,9 @@ def row_strided(
     With ``row_elements * element_size`` ≥ one page, every lane lands on
     a distinct page: the fully divergent case.
     """
-    return [
-        region.element((first_row + lane) * row_elements + column, element_size)
-        for lane in range(lanes)
-    ]
+    return _progression(
+        region, first_row * row_elements + column, row_elements, lanes, element_size
+    )
 
 
 def random_lanes(

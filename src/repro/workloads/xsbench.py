@@ -71,23 +71,25 @@ class XSBench(Workload):
         rng: random.Random,
         pages_per_instruction: int,
         hot_set_pages: int,
-        wavefront_size: int,
+        lane_offsets: List[int],
     ) -> List[int]:
-        """One binary-search probe: lanes spread over the level's hot set."""
+        """One binary-search probe: lanes spread over the level's hot set.
+
+        ``lane_offsets`` holds each lane's byte offset within its page.
+        """
         total_pages = self.grid.pages
         stride = max(1, total_pages // hot_set_pages)
+        base = self.grid.base
+        # Lanes cluster: `pages_per_instruction` distinct probe pages,
+        # each drawn from the level's evenly-spaced hot positions and
+        # shared by a run of consecutive lanes.
+        group = len(lane_offsets) // pages_per_instruction or 1
         addresses: List[int] = []
-        for lane in range(wavefront_size):
-            # Lanes cluster: `pages_per_instruction` distinct probe pages,
-            # each drawn from the level's evenly-spaced hot positions.
-            slot = rng.randrange(hot_set_pages) if lane % (
-                wavefront_size // pages_per_instruction or 1
-            ) == 0 else None
-            if slot is not None:
-                page = (slot * stride) % total_pages
-                current_page = page
-            addresses.append(
-                self.grid.base + current_page * PAGE + (lane * 64) % PAGE
+        for first in range(0, len(lane_offsets), group):
+            page = (rng.randrange(hot_set_pages) * stride) % total_pages
+            page_base = base + page * PAGE
+            addresses.extend(
+                [page_base + offset for offset in lane_offsets[first : first + group]]
             )
         return addresses
 
@@ -97,6 +99,11 @@ class XSBench(Workload):
         """Generate per-wavefront instruction streams (see Workload)."""
         lookups = self.scaled(self.lookups_per_wavefront)
         total_pages = self.grid.pages
+        base = self.grid.base
+        gather_stride = max(1, total_pages // GATHER_SET_PAGES)
+        lane_offsets = [(lane * 64) % PAGE for lane in range(wavefront_size)]
+        # Lane -> which of the GATHER_PAGES pages it gathers from.
+        gather_slots = [lane % GATHER_PAGES for lane in range(wavefront_size)]
         trace: Trace = []
         for wavefront_index in range(num_wavefronts):
             rng = random.Random(f"{self.seed}:{wavefront_index}")
@@ -113,22 +120,21 @@ class XSBench(Workload):
                 for pages_per_instruction, hot_set in SEARCH_LEVELS:
                     stream.append(
                         self._search_instruction(
-                            rng, pages_per_instruction, hot_set, wavefront_size
+                            rng, pages_per_instruction, hot_set, lane_offsets
                         )
                     )
                 # Final nuclide gather: lanes pair up on GATHER_PAGES
                 # unrelated pages of the gather working set.
-                gather_stride = max(1, total_pages // GATHER_SET_PAGES)
-                pages = [
-                    (rng.randrange(GATHER_SET_PAGES) * gather_stride) % total_pages
+                page_bases = [
+                    base
+                    + ((rng.randrange(GATHER_SET_PAGES) * gather_stride) % total_pages)
+                    * PAGE
                     for _ in range(GATHER_PAGES)
                 ]
                 stream.append(
                     [
-                        self.grid.base
-                        + pages[lane % GATHER_PAGES] * PAGE
-                        + (lane * 64) % PAGE
-                        for lane in range(wavefront_size)
+                        page_bases[slot] + offset
+                        for slot, offset in zip(gather_slots, lane_offsets)
                     ]
                 )
             trace.append(stream)

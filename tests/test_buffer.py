@@ -1,5 +1,7 @@
 """Unit tests for the IOMMU pending-walk buffer."""
 
+import pickle
+
 import pytest
 
 from repro.core.buffer import PendingWalkBuffer
@@ -204,3 +206,59 @@ def test_track_scores_false_skips_score_index():
     assert buffer.score_of(entry) == 2  # plain score lookups still work
     with pytest.raises(RuntimeError):
         buffer.min_score_entry()
+
+
+def _queries(buffer):
+    """Every query a scheduler can make, as comparable plain data."""
+    seq = lambda entry: None if entry is None else entry.arrival_seq  # noqa: E731
+    return (
+        [entry.arrival_seq for entry in buffer],
+        seq(buffer.oldest()),
+        seq(buffer.min_score_entry()),
+        [seq(buffer.oldest_for_instruction(i)) for i in range(4)],
+        buffer.pending_apps(),
+        [seq(buffer.min_score_entry_for_app(app)) for app in range(3)],
+        [seq(buffer.find_by_vpn(vpn)) for vpn in range(12)],
+        (buffer.peak_occupancy, buffer.total_insertions, buffer.total_coalesced),
+    )
+
+
+def test_snapshot_restore_round_trip():
+    buffer = PendingWalkBuffer(16)
+    entries = [
+        buffer.add(
+            make_request(vpn=v % 12, instruction_id=v % 4, app_id=v % 3),
+            arrival_time=v,
+            estimated_accesses=1 + v % 4,
+        )
+        for v in range(14)
+    ]
+    buffer.attach(entries[3], make_request(vpn=3, instruction_id=7))
+    buffer.account_direct_dispatch(2, 3)
+    for entry in entries[::3]:  # leaves stale members in every index
+        buffer.remove(entry)
+    state = pickle.loads(pickle.dumps(buffer.snapshot()))
+    # The per-application index is gone from the layout.
+    assert not {"by_app", "per_app", "instruction_apps", "app_score_index"} & set(state)
+    twin = PendingWalkBuffer(16)
+    twin.restore(state)
+    assert _queries(twin) == _queries(buffer)
+    # Both keep answering identically as entries drain.
+    twin_entries = {entry.arrival_seq: entry for entry in twin}
+    while not buffer.is_empty:
+        choice = buffer.min_score_entry()
+        buffer.remove(choice)
+        twin.remove(twin_entries[choice.arrival_seq])
+        assert _queries(twin) == _queries(buffer)
+
+
+def test_restore_ignores_per_app_index_keys():
+    # Checkpoints written while the buffer indexed applications carry
+    # four extra keys; restoring one must still work.
+    buffer = PendingWalkBuffer(8)
+    buffer.add(make_request(vpn=1, instruction_id=1, app_id=2), 0, estimated_accesses=2)
+    state = buffer.snapshot()
+    state.update(by_app={}, per_app={}, instruction_apps={}, app_score_index={})
+    twin = PendingWalkBuffer(8)
+    twin.restore(state)
+    assert _queries(twin) == _queries(buffer)
