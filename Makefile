@@ -2,7 +2,7 @@
 
 .PHONY: install test bench perf event-core figures figures-bench \
 	paper-figures quicktest faults trace overhead fleet fleet-bench \
-	bench-check checkpoint service chaos blame attrib-bench zoo clean
+	bench-check checkpoint service chaos blame attrib-bench zoo ledger clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -21,6 +21,12 @@ perf:
 
 event-core:
 	python benchmarks/perf/event_core.py
+
+# Where the simulator's own CPU goes: per-layer self time from the
+# outside-in span ledger (perfbench/ledger.py) on one benchmark workload.
+WORKLOAD ?= irregular
+ledger:
+	python3 perfbench/run.py --workload $(WORKLOAD) --trace 1
 
 faults:
 	python -m repro faults --seed 2018 --runs 8 --jobs 2 --timeout 300

@@ -342,10 +342,7 @@ class PendingWalkBuffer:
         }
 
     def restore(self, state: Dict[str, object]) -> None:
-        """Adopt a :meth:`snapshot`.  Checkpoints written while the
-        buffer still indexed applications carry ``by_app``,
-        ``per_app``, ``instruction_apps`` and ``app_score_index`` keys;
-        they are ignored."""
+        """Adopt a :meth:`snapshot`."""
         if state["capacity"] != self.capacity or (
             state["track_scores"] != self.track_scores
         ):

@@ -19,16 +19,17 @@ What a checkpoint contains:
 
 Components themselves are never pickled (they hold simulator/handler
 references); each contributes a ``snapshot()`` dict of plain data and
-accepts it back via ``restore()``.  Events must be tagged data events —
-a pending ``"__call__"`` closure event makes the state unpicklable, and
-:func:`save_checkpoint` reports it as such.
+accepts it back via ``restore()``.  Every pending event and completion
+target is a ``(kind, *payload)`` data tuple, so the state pickles as-is;
+an unpicklable payload is reported as a :class:`CheckpointError`.
 
 The event queue's snapshot is canonical regardless of its internal
 layout: the calendar queue emits its pending events as one
-``(time, seq)``-sorted list under the legacy ``"heap"`` key (plus a
-``"floor"`` marking the last drained cycle), and ``restore`` sorts on
-load — so checkpoints written before the calendar queue restore
-unchanged and the format version stays at 1.
+``(time, seq)``-sorted list under the ``"events"`` key, plus a
+``"floor"`` marking the last drained cycle.
+
+Restore reads exactly the keys the current ``snapshot()`` methods
+write; a blob of any other version is refused rather than upgraded.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import uuid
 from typing import Any, Dict, Optional
 
 #: Bump when the combined state layout changes incompatibly.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Identifies a repro checkpoint blob (first dict key checked on load).
 CHECKPOINT_FORMAT = "repro-checkpoint"
@@ -69,7 +70,7 @@ def dump_checkpoint(
     except Exception as exc:  # closures in event payloads, locks, ...
         raise CheckpointError(
             f"simulation state is not serialisable: {exc!r}; checkpointing "
-            "requires data-only events (no '__call__' closures pending)"
+            "requires data-only event payloads"
         ) from exc
     return buffer.getvalue()
 

@@ -135,38 +135,31 @@ class EventQueue:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
-        """The queue as plain data: (time, sequence)-sorted events + seq.
-
-        The event list is emitted in canonical sorted order under the
-        historical ``"heap"`` key — a sorted list is a valid heap, so
-        snapshots stay interchangeable across engine versions.
-        """
+        """The queue as plain data: the pending events as one
+        (time, sequence)-sorted ``"events"`` list, the next sequence
+        number and the floor."""
         events: List[Event] = []
         for time in sorted(self._buckets):
             for sequence, kind, payload in self._buckets[time]:
                 events.append((time, sequence, kind, payload))
         return {
-            "heap": events,
+            "events": events,
             "sequence": self._sequence,
             "floor": self._floor,
         }
 
     def restore(self, state: Dict[str, Any]) -> None:
-        """Adopt a :meth:`snapshot`'s events and sequence wholesale.
-
-        Accepts both canonical (sorted) and legacy heap-ordered event
-        lists: events are re-sorted into buckets either way.
-        """
+        """Adopt a :meth:`snapshot`'s events and sequence wholesale."""
         self._buckets = {}
         self._times = []
-        for time, sequence, kind, payload in sorted(state["heap"]):
+        for time, sequence, kind, payload in state["events"]:
             bucket = self._buckets.get(time)
             if bucket is None:
                 self._buckets[time] = [(sequence, kind, payload)]
+                # Events arrive sorted, so the times list is a heap.
                 self._times.append(time)
             else:
                 bucket.append((sequence, kind, payload))
-        heapq.heapify(self._times)
         self._sequence = state["sequence"]
-        self._size = len(state["heap"])
-        self._floor = state.get("floor", 0)
+        self._size = len(state["events"])
+        self._floor = state["floor"]

@@ -23,10 +23,10 @@ smallest monitor countdown (and the remaining ``max_events`` budget), so
 monitors fire at exactly the same processed-event counts as a scalar
 loop — which keeps checkpoint/watchdog/metrics cadence bit-identical.
 
-For convenience (and the unit tests' sake) plain callables still work:
-:meth:`at` / :meth:`after` wrap a callable in the builtin ``"__call__"``
-kind.  Such closure events run fine but cannot be serialised — a
-checkpointable model must schedule only registered kinds.
+Components hand each other *completion targets* in the same shape — a
+``(kind, *payload)`` tuple — which the receiver schedules with
+``post(delay, *target)`` / ``post_at(time, *target)`` or fires in place
+with :meth:`dispatch`.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.engine.event_queue import EventQueue
-
-#: The builtin event kind that carries a plain callable as its payload.
-CALLABLE_KIND = "__call__"
 
 
 class Simulator:
@@ -52,15 +49,9 @@ class Simulator:
         #: slots, so the run loop decrements in place.
         self._monitors: List[list] = []
         #: Event dispatch table: kind -> handler(*payload).
-        self._handlers: Dict[str, Callable[..., Any]] = {
-            CALLABLE_KIND: self._run_callable,
-        }
+        self._handlers: Dict[str, Callable[..., Any]] = {}
         #: Batch dispatch table: kind -> handler(list_of_payloads).
         self._batch_handlers: Dict[str, Callable[[list], Any]] = {}
-
-    @staticmethod
-    def _run_callable(fn: Callable[[], Any]) -> None:
-        fn()
 
     @property
     def now(self) -> int:
@@ -115,7 +106,7 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
 
-    # The four scheduling entry points inline the calendar-bucket insert
+    # The two scheduling entry points inline the calendar-bucket insert
     # (EventQueue.push) — they run once per event, and the extra call
     # frames are measurable on the hot path.  The queue's past-time
     # floor check is subsumed here: the clock can never sit below the
@@ -156,70 +147,19 @@ class Simulator:
         queue._sequence += 1
         queue._size += 1
 
-    def at(self, time: int, callback: Any) -> None:
-        """Schedule a completion target at absolute cycle ``time``.
+    def dispatch(self, target: tuple) -> None:
+        """Invoke a ``(kind, *payload)`` completion target immediately
+        (same cycle).
 
-        ``callback`` is either a plain callable (wrapped in the builtin
-        ``"__call__"`` kind — convenient, but *not* checkpointable) or a
-        ``(kind, *payload)`` event tuple, which is.
+        Used by models that complete a request synchronously instead of
+        through the queue.  A dispatched completion is real work, so it
+        counts toward :attr:`events_processed` and ticks monitor
+        countdowns — otherwise watchdog/metrics cadence would drift
+        relative to the queued-event stream.  Monitors themselves fire
+        only at event *boundaries* in :meth:`run` (firing mid-handler
+        could observe — or checkpoint — half-updated component state).
         """
-        if callable(callback):
-            kind = CALLABLE_KIND
-            payload: tuple = (callback,)
-        else:
-            kind = callback[0]
-            payload = callback[1:]
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule event at {time}, current time is {self._now}"
-            )
-        queue = self._queue
-        bucket = queue._buckets.get(time)
-        if bucket is None:
-            queue._buckets[time] = [(queue._sequence, kind, payload)]
-            heappush(queue._times, time)
-        else:
-            bucket.append((queue._sequence, kind, payload))
-        queue._sequence += 1
-        queue._size += 1
-
-    def after(self, delay: int, callback: Any) -> None:
-        """Schedule a completion target ``delay`` cycles from now."""
-        if callable(callback):
-            kind = CALLABLE_KIND
-            payload: tuple = (callback,)
-        else:
-            kind = callback[0]
-            payload = callback[1:]
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        time = self._now + delay
-        queue = self._queue
-        bucket = queue._buckets.get(time)
-        if bucket is None:
-            queue._buckets[time] = [(queue._sequence, kind, payload)]
-            heappush(queue._times, time)
-        else:
-            bucket.append((queue._sequence, kind, payload))
-        queue._sequence += 1
-        queue._size += 1
-
-    def dispatch(self, target: Any) -> None:
-        """Invoke a completion target immediately (same cycle).
-
-        Accepts the same shapes as :meth:`at` / :meth:`after`; used by
-        models that complete a request synchronously instead of through
-        the queue.  A dispatched completion is real work, so it counts
-        toward :attr:`events_processed` and ticks monitor countdowns —
-        otherwise watchdog/metrics cadence would drift relative to the
-        queued-event stream.  Monitors themselves fire only at event
-        *boundaries* in :meth:`run` (firing mid-handler could observe —
-        or checkpoint — half-updated component state).
-        """
-        if callable(target):
-            target()
-        else:
-            self._handlers[target[0]](*target[1:])
+        self._handlers[target[0]](*target[1:])
         self._events_processed += 1
         for slot in self._monitors:
             slot[2] -= 1
@@ -433,7 +373,7 @@ class Simulator:
         self._now = state["now"]
         self._events_processed = state["events_processed"]
         self._queue.restore(state["queue"])
-        counts = state.get("monitors", [])
+        counts = state["monitors"]
         for slot, (interval, countdown) in zip(self._monitors, counts):
             slot[1] = interval
             slot[2] = countdown

@@ -24,16 +24,16 @@ policies:
     otherwise drowns out.  Within a batch, first-ready then oldest.
 
 The controller exposes a completion-target API (``read(address, done)``
-where ``done`` is a ``(kind, *payload)`` event tuple or a legacy
-callable), so it can stand in wherever the reservation-based model is
-used.  Bank service and release advance through registered event kinds
-with the in-service request held as controller state, so queued and
-in-flight reads serialise into checkpoints.
+where ``done`` is a ``(kind, *payload)`` event tuple), so it can stand
+in wherever the reservation-based model is used.  Bank service and
+release advance through registered event kinds with the in-service
+request held as controller state, so queued and in-flight reads
+serialise into checkpoints.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import LINE_SIZE, DRAMConfig
 from repro.engine.simulator import Simulator
@@ -136,12 +136,12 @@ class QueuedMemoryController:
         return sum(len(q) for q in self._queues.values())
 
     def read(
-        self, address: int, on_complete: Any, source: int = SOURCE_DATA
+        self, address: int, on_complete: tuple, source: int = SOURCE_DATA
     ) -> None:
-        """Enqueue one read; the ``on_complete`` target fires when data
-        returns (an event tuple, or a callable for legacy callers).
-        ``source`` tags the request for the SMS batch former (page-walk
-        reads pass :data:`SOURCE_WALK`); other policies ignore it."""
+        """Enqueue one read; the ``on_complete`` event tuple fires when
+        data returns.  ``source`` tags the request for the SMS batch
+        former (page-walk reads pass :data:`SOURCE_WALK`); other
+        policies ignore it."""
         bank, row = self._map(address)
         request = _Request(
             address, bank, row, self._arrival_seq, self._sim.now,
@@ -290,9 +290,8 @@ class QueuedMemoryController:
     def snapshot(self) -> Dict[str, object]:
         """Bank state, queued and in-service requests, counters.
 
-        ``_Request`` objects are serialised as-is (slotted plain data;
-        their completion targets must be event tuples, which all
-        engine-integrated callers use).
+        ``_Request`` objects are serialised as-is (slotted plain data,
+        event-tuple completion targets included).
         """
         return {
             "banks": [(bank.busy, bank.open_row) for bank in self._banks],
@@ -322,10 +321,9 @@ class QueuedMemoryController:
         self._in_service = dict(state["in_service"])
         self._arrival_seq = state["arrival_seq"]
         self._sms_batch = {
-            bank: list(batch)
-            for bank, batch in state.get("sms_batch", {}).items()
+            bank: list(batch) for bank, batch in state["sms_batch"].items()
         }
-        self.walk_reads = state.get("walk_reads", 0)
+        self.walk_reads = state["walk_reads"]
         self.reads = state["reads"]
         self.row_hits = state["row_hits"]
         self.row_conflicts = state["row_conflicts"]

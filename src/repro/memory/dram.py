@@ -19,7 +19,7 @@ a list index is the cheapest lookup Python has.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.config import LINE_SIZE, DRAMConfig
 
@@ -108,60 +108,6 @@ class DRAM:
                 # without recording the whole memory category.
                 tracer.last_dram_access = (start, done, bank_index, row_hit)
         return done
-
-    def access_batch(self, addresses: Sequence[int], now: int) -> List[int]:
-        """Perform one read per address, all starting no earlier than
-        ``now``; returns the completion times in address order.
-
-        Equivalent — counter for counter, bank state for bank state —
-        to calling :meth:`access` sequentially over ``addresses``, with
-        the per-call overhead hoisted out of the loop.
-        """
-        if now < 0:
-            raise ValueError("time must be non-negative")
-        tracer = self.tracer
-        if tracer is not None and tracer.cat_memory:
-            return [self.access(address, now) for address in addresses]
-        channels = self._channels
-        banks_per_channel = self._banks_per_channel
-        row_stride = self._row_stride
-        busy_until = self._busy_until
-        open_row = self._open_row
-        t_cas = self._t_cas
-        t_miss = self._t_miss
-        t_burst = self._t_burst
-        hits = 0
-        total_latency = 0
-        total_queue_delay = 0
-        out: List[int] = []
-        append = out.append
-        for address in addresses:
-            line = address // LINE_SIZE
-            bank_index = (line % channels) * banks_per_channel + (
-                line // channels
-            ) % banks_per_channel
-            row = address // row_stride
-            start = busy_until[bank_index]
-            if start < now:
-                start = now
-            if open_row[bank_index] == row:
-                latency = t_cas
-                hits += 1
-            else:
-                latency = t_miss
-                open_row[bank_index] = row
-            done = start + latency
-            busy_until[bank_index] = done + t_burst
-            total_latency += done - now
-            total_queue_delay += start - now
-            append(done)
-        count = len(addresses)
-        self.accesses += count
-        self.row_hits += hits
-        self.row_conflicts += count - hits
-        self.total_latency += total_latency
-        self.total_queue_delay += total_queue_delay
-        return out
 
     @property
     def average_latency(self) -> float:

@@ -7,8 +7,7 @@ invoked with *physical* addresses, downstream of the MMU.
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.config import LINE_SIZE, SystemConfig
 from repro.engine.simulator import Simulator
@@ -21,14 +20,16 @@ class MemorySubsystem:
     """Glues caches and DRAM together behind two entry points.
 
     ``data_access``
-        A coalesced lane access from a CU: L1 → L2 → DRAM, with a
-        completion callback.
+        A coalesced lane access from a CU: L1 → L2 → DRAM.
 
-    ``page_table_access``
+    ``page_table_read``
         A page-table read from an IOMMU walker.  Walkers sit in the CPU
         complex and read the page table from DRAM directly (they have the
         PWCs instead of a slice of the data-cache hierarchy), so this
         bypasses the GPU caches.
+
+    Both take a completion target — a ``(kind, *payload)`` event tuple —
+    that fires as an event when the data returns.
     """
 
     def __init__(
@@ -37,16 +38,11 @@ class MemorySubsystem:
         config: SystemConfig,
         injector=None,
         tracer=None,
-        profiler=None,
     ) -> None:
         self._sim = simulator
         self._config = config
         #: Optional fault injector; supplies DRAM latency spikes.
         self._injector = injector
-        #: Optional :class:`~repro.obs.profiler.PhaseProfiler`; credits
-        #: time spent in the two entry points to the ``memory_model``
-        #: phase when attached.
-        self._profiler = profiler
         padding = injector.dram_padding if injector is not None else None
         self.l1_caches: List[SetAssociativeCache] = [
             SetAssociativeCache(config.l1_cache, name=f"l1d[{cu}]")
@@ -81,14 +77,10 @@ class MemorySubsystem:
         self.pt_pad_cycles = 0
         simulator.register("mem.ctrl_read", self._controller_read)
         simulator.register_batch("mem.ctrl_read", self._controller_read_batch)
-        if profiler is None:
-            # No profiler attached (the common case): bind the entry
-            # points straight to their implementations, skipping the
-            # timing wrapper on every hot-path call.
-            self.data_access = self._data_access  # type: ignore[method-assign]
-            self.page_table_read = self._page_table_read  # type: ignore[method-assign]
 
-    def _controller_read(self, physical_address: int, on_complete: Any) -> None:
+    def _controller_read(
+        self, physical_address: int, on_complete: tuple
+    ) -> None:
         self.controller.read(physical_address, on_complete)
 
     def _controller_read_batch(self, payloads) -> None:
@@ -97,33 +89,20 @@ class MemorySubsystem:
             read(physical_address, on_complete)
 
     def data_access(
-        self, cu_id: int, physical_address: int, on_complete: Any
+        self, cu_id: int, physical_address: int, on_complete: tuple
     ) -> None:
         """Issue one coalesced data access; the ``on_complete`` target
-        (an event tuple, or a callable for legacy callers) fires when
-        the data returns."""
-        if self._profiler is not None:
-            start = perf_counter()
-            try:
-                self._data_access(cu_id, physical_address, on_complete)
-            finally:
-                self._profiler.add("memory_model", perf_counter() - start)
-            return
-        self._data_access(cu_id, physical_address, on_complete)
-
-    def _data_access(
-        self, cu_id: int, physical_address: int, on_complete: Any
-    ) -> None:
+        fires when the data returns."""
         self.data_accesses += 1
         line = physical_address // LINE_SIZE
         l1 = self.l1_caches[cu_id]
         if l1.access(line):
-            self._sim.after(self._config.l1_cache.hit_latency, on_complete)
+            self._sim.post(self._config.l1_cache.hit_latency, *on_complete)
             return
         l2_latency = self._config.l1_cache.hit_latency + self._config.l2_cache.hit_latency
         if self.l2_cache.access(line):
             l1.fill(line)
-            self._sim.after(l2_latency, on_complete)
+            self._sim.post(l2_latency, *on_complete)
             return
         self.l2_cache.fill(line)
         l1.fill(line)
@@ -132,92 +111,21 @@ class MemorySubsystem:
             done = self.dram.access(physical_address, start)
             if self._injector is not None:
                 done += self._injector.dram_padding(start)
-            self._sim.at(done, on_complete)
+            self._sim.post_at(done, *on_complete)
         else:
             assert self.controller is not None
             self._sim.post(
                 l2_latency, "mem.ctrl_read", physical_address, on_complete
             )
 
-    def data_access_batch(
-        self, cu_id: int, physical_addresses: Sequence[int], on_complete: Any
-    ) -> None:
-        """Issue a batch of same-cycle coalesced accesses for one CU,
-        firing ``on_complete`` once per address.
-
-        Equivalent to calling :meth:`data_access` per address in list
-        order, but with the cache lookups done in one pass and the
-        DRAM-bound misses timed through :meth:`DRAM.access_batch`.
-        Deferring the DRAM completions behind the cache-hit completions
-        cannot reorder the event stream: a DRAM round trip always
-        finishes strictly after any same-call L1/L2 hit, so the two
-        groups land in different cycle buckets regardless of sequence
-        numbers.  Queued-controller, fault-injection and profiled
-        configurations keep the exact scalar interleaving instead.
-        """
-        profiler = self._profiler
-        if profiler is not None or self._injector is not None:
-            for physical_address in physical_addresses:
-                self.data_access(cu_id, physical_address, on_complete)
-            return
-        self.data_accesses += len(physical_addresses)
-        l1 = self.l1_caches[cu_id]
-        l1_access = l1.access
-        l2_access = self.l2_cache.access
-        l2_fill = self.l2_cache.fill
-        l1_fill = l1.fill
-        sim = self._sim
-        after = sim.after
-        l1_latency = self._config.l1_cache.hit_latency
-        l2_latency = l1_latency + self._config.l2_cache.hit_latency
-        dram = self.dram
-        misses: List[int] = []
-        for physical_address in physical_addresses:
-            line = physical_address // LINE_SIZE
-            if l1_access(line):
-                after(l1_latency, on_complete)
-                continue
-            if l2_access(line):
-                l1_fill(line)
-                after(l2_latency, on_complete)
-                continue
-            l2_fill(line)
-            l1_fill(line)
-            if dram is not None:
-                misses.append(physical_address)
-            else:
-                # The queued controller's arrival order is visible to
-                # its scheduling policy, so controller reads post inline
-                # (same cycle bucket as the L2-hit completions above).
-                sim.post(
-                    l2_latency, "mem.ctrl_read", physical_address, on_complete
-                )
-        if misses:
-            at = sim.at
-            start = sim._now + l2_latency
-            for done in dram.access_batch(misses, start):
-                at(done, on_complete)
-
     def page_table_read(
-        self, physical_address: int, on_complete: Any
+        self, physical_address: int, on_complete: tuple
     ) -> None:
         """One sequential page-table read; ``on_complete`` fires when done.
 
         Walkers chain these: the next level's read is issued only from
-        the previous one's completion callback.
+        the previous one's completion event.
         """
-        if self._profiler is not None:
-            start = perf_counter()
-            try:
-                self._page_table_read(physical_address, on_complete)
-            finally:
-                self._profiler.add("memory_model", perf_counter() - start)
-            return
-        self._page_table_read(physical_address, on_complete)
-
-    def _page_table_read(
-        self, physical_address: int, on_complete: Any
-    ) -> None:
         self.page_table_reads += 1
         if self.dram is not None:
             now = self._sim._now
@@ -230,7 +138,7 @@ class MemorySubsystem:
                     done += pad
                     self.pt_pad_cycles += pad
             self.pt_read_cycles += done - now
-            self._sim.at(done, on_complete)
+            self._sim.post_at(done, *on_complete)
         else:
             assert self.controller is not None
             # Tagged so the SMS batch former can QoS-prioritise walk
@@ -262,9 +170,9 @@ class MemorySubsystem:
     def restore(self, state: Dict[str, object]) -> None:
         self.data_accesses = state["data_accesses"]
         self.page_table_reads = state["page_table_reads"]
-        self.pt_read_cycles = state.get("pt_read_cycles", 0)
-        self.pt_queue_cycles = state.get("pt_queue_cycles", 0)
-        self.pt_pad_cycles = state.get("pt_pad_cycles", 0)
+        self.pt_read_cycles = state["pt_read_cycles"]
+        self.pt_queue_cycles = state["pt_queue_cycles"]
+        self.pt_pad_cycles = state["pt_pad_cycles"]
         for cache, dump in zip(self.l1_caches, state["l1_caches"]):
             cache.restore(dump)
         self.l2_cache.restore(state["l2_cache"])

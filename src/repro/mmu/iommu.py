@@ -25,7 +25,6 @@ scheduler's lookahead is exactly the buffer capacity (Fig 14 sweeps it).
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from time import perf_counter
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.config import IOMMUConfig
@@ -52,12 +51,11 @@ class IOMMU:
         simulator: Simulator,
         config: IOMMUConfig,
         page_table: PageTable,
-        page_table_read: Callable[[int, Callable[[], None]], None],
+        page_table_read: Callable[[int, tuple], None],
         scheduler: Optional[WalkScheduler] = None,
         geometry: PageGeometry = BASE_4K,
         injector=None,
         tracer=None,
-        profiler=None,
     ) -> None:
         self._sim = simulator
         self.config = config
@@ -69,9 +67,6 @@ class IOMMU:
         #: Optional :class:`~repro.obs.trace.Tracer`; None keeps every
         #: emitter off the hot path.
         self.tracer = tracer
-        #: Optional :class:`~repro.obs.profiler.PhaseProfiler`; times
-        #: scheduler-select calls when attached.
-        self.profiler = profiler
         self.l1_tlb = TLB(config.l1_tlb, name="iommu_l1_tlb")
         self.l2_tlb = TLB(config.l2_tlb, name="iommu_l2_tlb")
         self.pwc = PageWalkCache(config.pwc, geometry=geometry)
@@ -490,11 +485,7 @@ class IOMMU:
                 self._scan_in_progress = True
                 self._sim.post(scan_latency, "iommu.finish_scan")
                 return
-            entry = (
-                scheduler.select(buffer)
-                if self.profiler is None
-                else self._timed_select()
-            )
+            entry = scheduler.select(buffer)
             if entry is None:
                 return
             buffer.remove(entry)
@@ -503,26 +494,13 @@ class IOMMU:
             if self._overflow:
                 self._drain_overflow()
 
-    def _timed_select(self):
-        """One scheduler selection with its wall time credited to the
-        ``scheduler_select`` profiling phase."""
-        start = perf_counter()
-        try:
-            return self.scheduler.select(self.buffer)
-        finally:
-            self.profiler.add("scheduler_select", perf_counter() - start)
-
     def _finish_scan(self) -> None:
         """Complete one delayed scheduler scan and dispatch its pick."""
         self._scan_in_progress = False
         walker = self._idle_walker()
         if walker is None or not self.buffer.entries:
             return
-        entry = (
-            self.scheduler.select(self.buffer)
-            if self.profiler is None
-            else self._timed_select()
-        )
+        entry = self.scheduler.select(self.buffer)
         if entry is None:
             return
         self.buffer.remove(entry)
@@ -712,23 +690,22 @@ class IOMMU:
         self.prefetch_walks = state["prefetch_walks"]
         self.total_queue_wait = state["total_queue_wait"]
         self.total_service_time = state["total_service_time"]
-        self.total_overflow_wait = state.get("total_overflow_wait", 0)
+        self.total_overflow_wait = state["total_overflow_wait"]
         self.dispatches_by_instruction = {
             iid: list(seqs)
             for iid, seqs in state["dispatches_by_instruction"].items()
         }
-        # Zoo state: absent from pre-zoo checkpoints, so default empty.
-        self._iru_staging = list(state.get("iru_staging", ()))
+        self._iru_staging = list(state["iru_staging"])
         self._region_pages = {
             region: set(pages)
-            for region, pages in state.get("region_pages", {}).items()
+            for region, pages in state["region_pages"].items()
         }
         self._region_tlb = OrderedDict(
-            (region, True) for region in state.get("region_tlb", ())
+            (region, True) for region in state["region_tlb"]
         )
-        self.region_hits = state.get("region_hits", 0)
-        self.promotions = state.get("promotions", 0)
-        self.demotions = state.get("demotions", 0)
+        self.region_hits = state["region_hits"]
+        self.promotions = state["promotions"]
+        self.demotions = state["demotions"]
 
     # ------------------------------------------------------------------
     # Statistics

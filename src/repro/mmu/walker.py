@@ -43,7 +43,7 @@ class PageTableWalker:
         simulator: Simulator,
         page_table: PageTable,
         pwc: PageWalkCache,
-        page_table_read: Callable[[int, Any], None],
+        page_table_read: Callable[[int, tuple], None],
         injector=None,
         tracer=None,
     ) -> None:
@@ -270,9 +270,9 @@ class PageTableWalker:
         self._remaining = list(state["remaining"])
         self._total_accesses = state["total_accesses"]
         self._pending = state["pending"]
-        self.held_cycles = state.get("held_cycles", 0)
-        self._finish_time = state.get("finish_time", 0)
-        self._read_issue = state.get("read_issue", -1)
-        self._read_level = state.get("read_level", 0)
-        self._read_address = state.get("read_address", 0)
-        self._read_meta = state.get("read_meta")
+        self.held_cycles = state["held_cycles"]
+        self._finish_time = state["finish_time"]
+        self._read_issue = state["read_issue"]
+        self._read_level = state["read_level"]
+        self._read_address = state["read_address"]
+        self._read_meta = state["read_meta"]

@@ -1,7 +1,7 @@
 """Fleet telemetry: live progress for multi-run sweep execution.
 
 A single simulation has deep observability (tracing, metrics,
-profiling); the unit of work in practice is the *fleet* — dozens of
+attribution); the unit of work in practice is the *fleet* — dozens of
 scheduler×workload specs fanned across worker processes by
 :func:`~repro.experiments.runner.run_many_resilient`.  This module
 watches that layer: which spec is running where, which one retried or

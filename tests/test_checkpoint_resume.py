@@ -16,9 +16,11 @@ latency percentiles and fault-injector stats, must match exactly.
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import pytest
 
+from repro.engine.checkpoint import CheckpointError
 from repro.experiments.runner import (
     MAX_CYCLES,
     resume_simulation,
@@ -268,11 +270,15 @@ def test_checkpoint_rejects_scheduler_instances():
         )
 
 
-def test_checkpoint_rejects_profiling():
-    with pytest.raises(ValueError, match="profile"):
-        _run(
-            "fcfs",
-            profile=True,
-            checkpoint_every=100,
-            checkpoint_path="unused.ckpt",
-        )
+def test_version_1_checkpoint_is_refused(tmp_path):
+    # Rewrite a real checkpoint into the version-1 layout (the event
+    # queue's list under "heap"): restore never upgrades old formats.
+    path = tmp_path / "run.ckpt"
+    _run("fcfs", checkpoint_every=EVERY, checkpoint_path=str(path))
+    payload = pickle.loads(path.read_bytes())
+    queue = payload["state"]["system"]["simulator"]["queue"]
+    queue["heap"] = queue.pop("events")
+    payload["version"] = 1
+    path.write_bytes(pickle.dumps(payload))
+    with pytest.raises(CheckpointError, match="version 1 unsupported"):
+        resume_simulation(str(path))

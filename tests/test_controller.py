@@ -24,12 +24,21 @@ def make_controller(policy="frfcfs", banks=2, sms_batch_cap=4):
         t_burst=8,
         sms_batch_cap=sms_batch_cap,
     )
+    sim.register("ignore", lambda: None)
     return sim, QueuedMemoryController(sim, config, policy=policy)
 
 
+#: Completion target for reads whose completion the test ignores.
+IGNORE = ("ignore",)
+
+
 def completion_recorder(sim, order):
+    """Returns ``make(tag)``: a completion target that logs
+    ``(tag, now)`` into ``order`` when it fires."""
+    sim.register("done", lambda tag: order.append((tag, sim.now)))
+
     def make(tag):
-        return lambda: order.append((tag, sim.now))
+        return ("done", tag)
 
     return make
 
@@ -103,7 +112,7 @@ def test_frfcfs_achieves_higher_row_hit_rate_than_fcfs():
         # buffer; FR-FCFS batches same-row requests.
         for i in range(8):
             address = (far_row if i % 2 else 0) + 128 * (i // 2)
-            ctrl.read(address, lambda: None)
+            ctrl.read(address, IGNORE)
         sim.run()
         return ctrl.row_hit_rate
 
@@ -113,7 +122,7 @@ def test_frfcfs_achieves_higher_row_hit_rate_than_fcfs():
 def test_queue_depth_tracked():
     sim, ctrl = make_controller()
     for i in range(5):
-        ctrl.read(0, lambda: None)
+        ctrl.read(0, IGNORE)
     assert ctrl.peak_queue_depth >= 4
     sim.run()
     assert ctrl.queued_requests == 0
@@ -121,7 +130,7 @@ def test_queue_depth_tracked():
 
 def test_stats_shape():
     sim, ctrl = make_controller()
-    ctrl.read(0, lambda: None)
+    ctrl.read(0, IGNORE)
     sim.run()
     stats = ctrl.stats()
     assert stats["reads"] == 1
@@ -187,7 +196,7 @@ def test_sms_sticks_with_batch_for_row_hits():
 
 def test_sms_source_defaults_to_data():
     sim, ctrl = make_controller(policy="sms")
-    ctrl.read(0, lambda: None)
+    ctrl.read(0, IGNORE)
     sim.run()
     assert ctrl.walk_reads == 0
     assert ctrl.stats()["walk_reads"] == 0
@@ -195,8 +204,8 @@ def test_sms_source_defaults_to_data():
 
 def test_sms_snapshot_restores_batch_state():
     sim, ctrl = make_controller(policy="sms")
-    ctrl.read(0, lambda: None, source=SOURCE_WALK)
-    ctrl.read(128, lambda: None, source=SOURCE_WALK)
+    ctrl.read(0, IGNORE, source=SOURCE_WALK)
+    ctrl.read(128, IGNORE, source=SOURCE_WALK)
     # Mid-flight: bank busy, batch committed to the walk source.
     state = ctrl.snapshot()
     sim2, ctrl2 = make_controller(policy="sms")

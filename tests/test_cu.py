@@ -9,11 +9,12 @@ from tests.conftest import tiny_config
 
 def make_cu():
     sim = Simulator()
+    sim.register("idle", lambda: None)
     return sim, ComputeUnit(0, sim, tiny_config())
 
 
 def advance(sim, cycles):
-    sim.after(cycles, lambda: None)
+    sim.post(cycles, "idle")
     sim.run()
 
 

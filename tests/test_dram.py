@@ -1,7 +1,5 @@
 """Unit tests for the DRAM bank/row timing model."""
 
-import random
-
 import pytest
 
 from repro.config import DRAMConfig
@@ -90,20 +88,3 @@ def test_bank_mapping_covers_all_banks():
     dram = make_dram(banks_per_rank=4)
     banks = {dram._map(line * 64)[0] for line in range(16)}
     assert banks == {0, 1, 2, 3}
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_access_batch_equals_sequential_accesses(seed):
-    # Batches mix repeated banks (service order chains through
-    # busy-until) with runs of distinct banks.
-    rng = random.Random(seed)
-    config = dict(channels=2, banks_per_rank=8, row_size_bytes=2048)
-    batched, sequential = make_dram(**config), make_dram(**config)
-    now = 0
-    for _ in range(40):
-        addresses = [rng.randrange(1 << 20) for _ in range(rng.randrange(1, 24))]
-        assert batched.access_batch(addresses, now) == [
-            sequential.access(address, now) for address in addresses
-        ]
-        now += rng.randrange(0, 120)
-    assert batched.snapshot() == sequential.snapshot()

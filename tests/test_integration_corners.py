@@ -105,7 +105,8 @@ class TestL2TLBPort:
     def test_port_idles_after_time_passes(self):
         system = build_system(tiny_config())
         system.gpu.l2_tlb_port_delay()
-        system.simulator.after(100, lambda: None)
+        system.simulator.register("idle", lambda: None)
+        system.simulator.post(100, "idle")
         system.simulator.run()
         assert system.gpu.l2_tlb_port_delay() == 0
 

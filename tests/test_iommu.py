@@ -27,7 +27,9 @@ def make_iommu(
         scheduler=scheduler,
         coalesce_walks=coalesce,
     )
-    iommu = IOMMU(sim, config, table, lambda addr, cb: sim.after(latency, cb))
+    iommu = IOMMU(
+        sim, config, table, lambda addr, target: sim.post(latency, *target)
+    )
     return sim, table, iommu
 
 

@@ -7,12 +7,20 @@ from tests.conftest import tiny_config
 
 def make_subsystem():
     sim = Simulator()
+    sim.register("ignore", lambda: None)
     return sim, MemorySubsystem(sim, tiny_config())
 
 
-def run_access(sim, memory, cu, address):
+def completion_times(sim):
+    """Registers a ``"done"`` kind; returns the list it logs ``now`` into."""
     done_at = []
-    memory.data_access(cu, address, lambda: done_at.append(sim.now))
+    sim.register("done", lambda: done_at.append(sim.now))
+    return done_at
+
+
+def run_access(sim, memory, cu, address):
+    done_at = completion_times(sim)
+    memory.data_access(cu, address, ("done",))
     sim.run()
     return done_at[0]
 
@@ -53,8 +61,8 @@ def test_l1_caches_are_private():
 
 def test_page_table_read_completes_later():
     sim, memory = make_subsystem()
-    done_at = []
-    memory.page_table_read(0x2000, lambda: done_at.append(sim.now))
+    done_at = completion_times(sim)
+    memory.page_table_read(0x2000, ("done",))
     start = sim.now
     sim.run()
     assert done_at and done_at[0] > start
@@ -63,8 +71,8 @@ def test_page_table_read_completes_later():
 
 def test_page_table_reads_bypass_caches():
     sim, memory = make_subsystem()
-    memory.page_table_read(0x2000, lambda: None)
-    memory.page_table_read(0x2000, lambda: None)
+    memory.page_table_read(0x2000, ("ignore",))
+    memory.page_table_read(0x2000, ("ignore",))
     sim.run()
     assert memory.l2_cache.accesses == 0
     assert memory.dram.accesses == 2

@@ -20,7 +20,9 @@ def make_iommu(prefetch=True, num_walkers=2, latency=10):
         pwc=PWCConfig(entries_per_level=8, associativity=4),
         prefetch_next_page=prefetch,
     )
-    iommu = IOMMU(sim, config, table, lambda addr, cb: sim.after(latency, cb))
+    iommu = IOMMU(
+        sim, config, table, lambda addr, target: sim.post(latency, *target)
+    )
     return sim, iommu
 
 

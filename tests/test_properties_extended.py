@@ -64,8 +64,9 @@ class TestControllerProperties:
             policy=policy,
         )
         completions = []
+        sim.register("done", completions.append)
         for index, line in enumerate(line_numbers):
-            controller.read(line * 64, lambda index=index: completions.append(index))
+            controller.read(line * 64, ("done", index))
         sim.run()
         assert sorted(completions) == list(range(len(line_numbers)))
         assert controller.reads == len(line_numbers)
@@ -82,7 +83,8 @@ class TestControllerProperties:
             DRAMConfig(channels=1, ranks_per_channel=1, banks_per_rank=2),
             policy="frfcfs",
         )
+        sim.register("ignore", lambda: None)
         for line in line_numbers:
-            controller.read(line * 64, lambda: None)
+            controller.read(line * 64, ("ignore",))
         sim.run()
         assert controller.row_hits + controller.row_conflicts == controller.reads

@@ -326,6 +326,33 @@ def test_inrun_resume_continues_an_interrupted_run(tmp_path, monkeypatch):
     assert not inrun.exists()  # consumed and cleaned up on success
 
 
+def test_inrun_stale_version_checkpoint_is_discarded(tmp_path):
+    import pickle
+
+    from repro.resilience.outcomes import CheckpointStore
+
+    spec = _good_spec(6)
+    want = _fingerprint(run_simulation(**spec))
+
+    # A previous attempt's in-run dump, rewritten to format version 1:
+    # the retry cannot resume it, so it must delete it and start over.
+    ckpt = tmp_path / "sweep"
+    inrun = CheckpointStore(str(ckpt)).inrun_path(spec)
+    run_simulation(
+        **spec, checkpoint_every=500, checkpoint_path=str(inrun)
+    )
+    payload = pickle.loads(inrun.read_bytes())
+    payload["version"] = 1
+    inrun.write_bytes(pickle.dumps(payload))
+
+    outcomes = run_many_resilient(
+        [spec], checkpoint=str(ckpt), inrun_checkpoint_every=500
+    )
+    assert outcomes[0].ok
+    assert _fingerprint(outcomes[0].result) == want
+    assert not inrun.exists()
+
+
 def test_inrun_checkpointing_does_not_perturb_results(tmp_path):
     spec = _good_spec(5)
     want = _fingerprint(run_simulation(**spec))

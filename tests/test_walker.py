@@ -16,7 +16,7 @@ def make_walker(latency=10):
 
     def page_table_read(address, on_complete):
         accesses.append(address)
-        sim.after(latency, on_complete)
+        sim.post(latency, *on_complete)
 
     walker = PageTableWalker(0, sim, table, pwc, page_table_read)
     return sim, table, pwc, walker, accesses

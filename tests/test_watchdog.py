@@ -78,8 +78,9 @@ def test_watchdog_monitor_trips_on_live_but_stuck_system():
     system.gpu.dispatch(bench.build_trace(num_wavefronts=8, wavefront_size=64))
 
     def tick():
-        system.simulator.after(100, tick)
+        system.simulator.post(100, "tick")
 
+    system.simulator.register("tick", tick)
     tick()
     with pytest.raises(WatchdogError, match="no instruction retired") as excinfo:
         system.simulator.run(until=MAX_CYCLES)
