@@ -55,11 +55,13 @@ zoo:
 	python benchmarks/perf/zoo.py
 
 # Checkpoint/resume round trip: run with periodic state dumps, then
-# resume the leftover mid-run checkpoint — both prints must agree.
+# resume the leftover mid-run checkpoint — diff fails the target unless
+# both prints agree.
 checkpoint:
 	python -m repro run mvt --scale 0.2 --wavefronts 16 \
-		--checkpoint-every 5000 --checkpoint-path mvt.ckpt
-	python -m repro resume mvt.ckpt
+		--checkpoint-every 5000 --checkpoint-path mvt.ckpt | tee straight.txt
+	python -m repro resume mvt.ckpt | tee resumed.txt
+	diff straight.txt resumed.txt
 
 # Durable work-queue campaign: shard, drain with local workers, merge.
 service:
@@ -106,4 +108,5 @@ attrib-bench:
 
 clean:
 	rm -rf build dist src/repro.egg-info .pytest_cache .benchmarks
+	rm -f mvt.ckpt straight.txt resumed.txt
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -44,13 +44,10 @@ from repro.engine.checkpoint import CheckpointError
 from repro.experiments.runner import (
     build_system,
     compare_schedulers,
-    restore_system,
     resume_simulation,
     run_many,
     run_many_resilient,
     run_simulation,
-    scheduler_sweep_specs,
-    snapshot_system,
 )
 from repro.obs import (
     MetricsRegistry,
@@ -117,14 +114,11 @@ __all__ = [
     "save_config",
     "get_workload",
     "make_scheduler",
-    "restore_system",
     "resume_simulation",
     "run_campaign",
     "run_many",
     "run_many_resilient",
     "run_simulation",
-    "scheduler_sweep_specs",
-    "snapshot_system",
     "validate_chrome_trace",
     "workload_names",
     "__version__",

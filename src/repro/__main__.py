@@ -116,16 +116,17 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import run_many, scheduler_sweep_specs
+    from repro.experiments.runner import run_many
+    from repro.obs.aggregate import sweep_specs
 
     schedulers = tuple(args.schedulers.split(","))
-    specs = scheduler_sweep_specs(
-        args.workload.upper(),
+    specs = sweep_specs(
+        [args.workload.upper()],
         schedulers,
+        [args.seed],
         config=_load_config(args),
         num_wavefronts=args.wavefronts,
         scale=args.scale,
-        seed=args.seed,
     )
     with _make_telemetry(args) as telemetry:
         outcomes = run_many(

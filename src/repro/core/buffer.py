@@ -308,59 +308,3 @@ class PendingWalkBuffer:
         what the fair-share policy's original set comprehension saw.
         """
         return list(dict.fromkeys(entry.app_id for entry in self.entries.values()))
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        """Entries, every index (stale keys included) and counters.
-
-        Indexes are captured verbatim — including lazily-pruned stale
-        deque members and stale score-index keys — so a restored buffer
-        answers every query identically to the original, stale-pruning
-        side effects and all.  Entry objects appear in several indexes;
-        the enclosing single-pickle checkpoint preserves their identity.
-        """
-        return {
-            "capacity": self.capacity,
-            "track_scores": self.track_scores,
-            "entries": dict(self.entries),
-            "by_vpn": {
-                vpn: dict(entries) for vpn, entries in self._by_vpn.items()
-            },
-            "scores": self.scores.snapshot(),
-            "arrival_seq": self._arrival_seq,
-            "arrival": list(self._arrival),
-            "by_instruction": {
-                iid: list(queue) for iid, queue in self._by_instruction.items()
-            },
-            "score_index": self._score_index.snapshot(),
-            "peak_occupancy": self.peak_occupancy,
-            "total_insertions": self.total_insertions,
-            "total_coalesced": self.total_coalesced,
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        """Adopt a :meth:`snapshot`."""
-        if state["capacity"] != self.capacity or (
-            state["track_scores"] != self.track_scores
-        ):
-            raise ValueError(
-                "checkpoint buffer shape mismatch: capacity/track_scores "
-                "differ from this buffer's configuration"
-            )
-        self.entries = dict(state["entries"])
-        self._by_vpn = {
-            vpn: dict(entries) for vpn, entries in state["by_vpn"].items()
-        }
-        self.scores.restore(state["scores"])
-        self._arrival_seq = state["arrival_seq"]
-        self._arrival = deque(state["arrival"])
-        self._by_instruction = {
-            iid: deque(queue) for iid, queue in state["by_instruction"].items()
-        }
-        self._score_index.restore(state["score_index"])
-        self.peak_occupancy = state["peak_occupancy"]
-        self.total_insertions = state["total_insertions"]
-        self.total_coalesced = state["total_coalesced"]

@@ -1,35 +1,33 @@
 """In-run simulation checkpoints with deterministic resume.
 
-A checkpoint is ONE pickle over a combined plain-data state dict
-gathered from every stateful component.  Using a single ``pickle.dumps``
-matters: the pending-walk buffer, the walkers, the event queue's
-payloads and the GPU's instruction records *share* request/entry objects
-by identity, and pickle's memo preserves that sharing — restoring piece
-by piece would clone the shared objects and silently fork their state.
+A checkpoint is ONE pickle of the running harness: the wired
+:class:`~repro.experiments.runner.System` (simulator clock, pending
+event queue, installed monitors and every hardware model), its
+watchdog and its metrics registry.  Components are pickled as they
+are — there are no per-component snapshot methods to keep in step with
+the models.  That works because the graph holds only data and
+references to other components: every pending event and completion
+target is a ``(kind, *payload)`` data tuple, handlers are bound methods
+(pickled as the component plus a method name), and monitors and tracer
+clocks are picklable objects rather than closures.
 
-What a checkpoint contains:
+Using a single ``pickle.dumps`` matters: the pending-walk buffer, the
+walkers, the event queue's payloads and the GPU's instruction records
+*share* request/entry objects by identity, and pickle's memo preserves
+that sharing — pickling piece by piece would clone the shared objects
+and silently fork their state.
 
-* ``version`` — the checkpoint format version (mismatches are refused);
-* ``config`` — the run's fully-resolved :class:`SystemConfig` (itself a
-  picklable dataclass, fault plan included), so a resume can rebuild an
-  identical system without any side-channel;
-* ``meta`` — workload/scheduler/seed/run arguments needed to rebuild the
-  harness around the system (number of wavefronts, scale, max cycles);
-* ``state`` — the combined component state dict.
+What a checkpoint blob contains (a plain dict):
 
-Components themselves are never pickled (they hold simulator/handler
-references); each contributes a ``snapshot()`` dict of plain data and
-accepts it back via ``restore()``.  Every pending event and completion
-target is a ``(kind, *payload)`` data tuple, so the state pickles as-is;
-an unpicklable payload is reported as a :class:`CheckpointError`.
+* ``format`` / ``version`` — the blob kind and format version; a blob
+  of any other version is refused rather than upgraded;
+* ``meta`` — the run arguments the resumed harness still needs
+  (workload name, cycle limit, trace configuration) plus the cycle and
+  event count at which the dump was taken;
+* ``state`` — the harness objects themselves.
 
-The event queue's snapshot is canonical regardless of its internal
-layout: the calendar queue emits its pending events as one
-``(time, seq)``-sorted list under the ``"events"`` key, plus a
-``"floor"`` marking the last drained cycle.
-
-Restore reads exactly the keys the current ``snapshot()`` methods
-write; a blob of any other version is refused rather than upgraded.
+An object in the graph that cannot be pickled (a closure, a lock) is
+reported as a :class:`CheckpointError`.
 """
 
 from __future__ import annotations
@@ -40,8 +38,9 @@ import pickle
 import uuid
 from typing import Any, Dict, Optional
 
-#: Bump when the combined state layout changes incompatibly.
-CHECKPOINT_VERSION = 2
+#: Bump when the blob layout or the pickled object graph changes
+#: incompatibly.  Version 3 pickles the harness objects whole.
+CHECKPOINT_VERSION = 3
 
 #: Identifies a repro checkpoint blob (first dict key checked on load).
 CHECKPOINT_FORMAT = "repro-checkpoint"
@@ -52,25 +51,22 @@ class CheckpointError(RuntimeError):
 
 
 def dump_checkpoint(
-    config: Any,
-    state: Dict[str, Any],
-    meta: Optional[Dict[str, Any]] = None,
+    state: Dict[str, Any], meta: Optional[Dict[str, Any]] = None
 ) -> bytes:
     """Serialise one checkpoint into a bytes blob (single pickle)."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config": config,
         "meta": dict(meta or {}),
         "state": state,
     }
     try:
         buffer = io.BytesIO()
         pickle.dump(payload, buffer, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:  # closures in event payloads, locks, ...
+    except Exception as exc:  # closures in the object graph, locks, ...
         raise CheckpointError(
             f"simulation state is not serialisable: {exc!r}; checkpointing "
-            "requires data-only event payloads"
+            "requires a picklable object graph (no closures or locks)"
         ) from exc
     return buffer.getvalue()
 
@@ -93,10 +89,7 @@ def load_checkpoint(blob: bytes) -> Dict[str, Any]:
 
 
 def save_checkpoint_file(
-    path: str,
-    config: Any,
-    state: Dict[str, Any],
-    meta: Optional[Dict[str, Any]] = None,
+    path: str, state: Dict[str, Any], meta: Optional[Dict[str, Any]] = None
 ) -> None:
     """Write a checkpoint blob to ``path`` atomically.
 
@@ -108,7 +101,7 @@ def save_checkpoint_file(
     *previous* checkpoint intact rather than a torn file that would
     poison every later resume.
     """
-    blob = dump_checkpoint(config, state, meta)
+    blob = dump_checkpoint(state, meta)
     tmp = f"{path}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
     try:
         with open(tmp, "wb") as handle:

@@ -3,9 +3,9 @@
 Events are plain data: ``(time, sequence, kind, payload)``.  ``kind`` is
 a string naming a handler registered on the simulator and ``payload`` is
 a tuple of arguments for it.  Keeping events as data (instead of bound
-closures) is what makes the queue serialisable: :meth:`snapshot`
-captures the pending events and insertion sequence, and :meth:`restore`
-rebuilds them so a resumed run pops the identical event order.
+closures) is what makes the queue serialisable: an in-run checkpoint
+pickles it as it is, and the unpickled queue pops the identical event
+order.
 
 Structure: a *calendar* of buckets keyed on the absolute integer cycle
 (``dict`` of ``time -> [(sequence, kind, payload), ...]``) plus a small
@@ -30,7 +30,7 @@ subsumes the old non-negative-time check.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 #: One scheduled event: ``(time, sequence, kind, payload)``.
 Event = Tuple[int, int, str, tuple]
@@ -129,37 +129,3 @@ class EventQueue:
         Raises :class:`IndexError` when the queue is empty.
         """
         return self._times[0]
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """The queue as plain data: the pending events as one
-        (time, sequence)-sorted ``"events"`` list, the next sequence
-        number and the floor."""
-        events: List[Event] = []
-        for time in sorted(self._buckets):
-            for sequence, kind, payload in self._buckets[time]:
-                events.append((time, sequence, kind, payload))
-        return {
-            "events": events,
-            "sequence": self._sequence,
-            "floor": self._floor,
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Adopt a :meth:`snapshot`'s events and sequence wholesale."""
-        self._buckets = {}
-        self._times = []
-        for time, sequence, kind, payload in state["events"]:
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                self._buckets[time] = [(sequence, kind, payload)]
-                # Events arrive sorted, so the times list is a heap.
-                self._times.append(time)
-            else:
-                bucket.append((sequence, kind, payload))
-        self._sequence = state["sequence"]
-        self._size = len(state["events"])
-        self._floor = state["floor"]

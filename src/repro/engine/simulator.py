@@ -4,9 +4,10 @@ Every hardware model in this package (TLBs, walkers, DRAM banks, compute
 units) advances by posting *tagged events* — ``(kind, payload)`` pairs —
 on a shared :class:`Simulator`.  Components :meth:`register` a handler
 per kind once at construction; the event loop then dispatches
-``handlers[kind](*payload)``.  Because events are plain data, the whole
-pending-event set can be checkpointed mid-run and restored later
-(:meth:`snapshot` / :meth:`restore`) with bit-identical replay.
+``handlers[kind](*payload)``.  Because events are plain data and
+handlers are bound methods, the simulator pickles as it is — pending
+events, monitors and all — so a run can be checkpointed mid-run and
+resumed with bit-identical replay (see :mod:`repro.engine.checkpoint`).
 
 The event loop is *batched*: it drains one calendar bucket (all events
 pending at the current cycle) at a time and dispatches maximal runs of
@@ -349,31 +350,3 @@ class Simulator:
         self._handlers[kind](*payload)
         self._events_processed += 1
         return True
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Clock, counters, pending events and monitor cadences.
-
-        Handlers and monitor callbacks are *not* captured — they are
-        code, re-registered when the system is rebuilt.  Monitor
-        countdowns are stored positionally, so a resume must re-install
-        its monitors in the same order before calling :meth:`restore`.
-        """
-        return {
-            "now": self._now,
-            "events_processed": self._events_processed,
-            "queue": self._queue.snapshot(),
-            "monitors": [(slot[1], slot[2]) for slot in self._monitors],
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        self._now = state["now"]
-        self._events_processed = state["events_processed"]
-        self._queue.restore(state["queue"])
-        counts = state["monitors"]
-        for slot, (interval, countdown) in zip(self._monitors, counts):
-            slot[1] = interval
-            slot[2] = countdown

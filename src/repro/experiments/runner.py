@@ -39,6 +39,7 @@ from repro.memory.subsystem import MemorySubsystem
 from repro.mmu.geometry import geometry_by_name
 from repro.mmu.iommu import IOMMU
 from repro.mmu.page_table import FrameAllocator, PageTable
+from repro.obs.aggregate import sweep_specs
 from repro.obs.fleet import FleetTelemetry
 from repro.obs.metrics import (
     DEFAULT_SAMPLE_INTERVAL_EVENTS,
@@ -215,68 +216,32 @@ def _validate_run_args(
 # ----------------------------------------------------------------------
 
 
-def snapshot_system(system: System) -> Dict[str, Any]:
-    """Gather every component's plain-data state into one dict.
+class _CheckpointWriter:
+    """The periodic-checkpoint monitor.
 
-    The dict must be pickled in a *single* pass (see
-    :mod:`repro.engine.checkpoint`): walk-buffer entries, in-flight
-    requests and instruction records are shared by identity between the
-    component states and the event-queue payloads.
+    A class rather than a closure because it sits in the simulator's
+    monitor list, so every checkpoint it writes pickles the writer too;
+    a resume finds it there and re-arms or drops it.
     """
-    state: Dict[str, Any] = {
-        "simulator": system.simulator.snapshot(),
-        "page_table": system.page_table.snapshot(),
-        "memory": system.memory.snapshot(),
-        "iommu": system.iommu.snapshot(),
-        "gpu": system.gpu.snapshot(),
-    }
-    if system.iommu.injector is not None:
-        state["injector"] = system.iommu.injector.snapshot()
-    if system.tracer is not None:
-        state["tracer"] = system.tracer.snapshot()
-    return state
 
+    def __init__(
+        self,
+        path: str,
+        system: System,
+        watchdog: Optional[Watchdog],
+        registry: Optional[MetricsRegistry],
+        meta: Dict[str, Any],
+    ) -> None:
+        self.path = path
+        self.system = system
+        self.watchdog = watchdog
+        self.registry = registry
+        self.meta = meta
 
-def restore_system(system: System, state: Dict[str, Any]) -> None:
-    """Adopt a :func:`snapshot_system` dict into a freshly built system.
-
-    The system must have been built from the checkpoint's own config
-    (same component shapes); monitors must already be installed in the
-    same order as the checkpointing run, because the simulator restores
-    their countdowns positionally.
-    """
-    system.simulator.restore(state["simulator"])
-    system.page_table.restore(state["page_table"])
-    system.memory.restore(state["memory"])
-    system.iommu.restore(state["iommu"])
-    system.gpu.restore(state["gpu"])
-    if "injector" in state:
-        if system.iommu.injector is None:
-            raise CheckpointError(
-                "checkpoint carries fault-injector state but the rebuilt "
-                "system has no injector (config mismatch)"
-            )
-        system.iommu.injector.restore(state["injector"])
-    if "tracer" in state:
-        if system.tracer is None:
-            raise CheckpointError(
-                "checkpoint carries tracer state but the rebuilt system "
-                "has no tracer (pass the same trace configuration)"
-            )
-        system.tracer.restore(state["tracer"])
-
-
-def _checkpoint_state(
-    system: System,
-    watchdog: Optional[Watchdog],
-    registry: Optional[MetricsRegistry],
-) -> Dict[str, Any]:
-    state = {"system": snapshot_system(system)}
-    if watchdog is not None:
-        state["watchdog"] = watchdog.snapshot()
-    if registry is not None:
-        state["metrics"] = registry.snapshot()
-    return state
+    def __call__(self) -> None:
+        _write_run_checkpoint(
+            self.path, self.system, self.watchdog, self.registry, self.meta
+        )
 
 
 def _write_run_checkpoint(
@@ -286,10 +251,11 @@ def _write_run_checkpoint(
     registry: Optional[MetricsRegistry],
     meta: Dict[str, Any],
 ) -> None:
+    """Pickle the running harness — system (monitors included),
+    watchdog and metrics registry — to ``path`` in one pass."""
     save_checkpoint_file(
         path,
-        system.config,
-        _checkpoint_state(system, watchdog, registry),
+        {"system": system, "watchdog": watchdog, "metrics": registry},
         meta=dict(
             meta,
             cycle=system.simulator.now,
@@ -363,8 +329,7 @@ def run_simulation(
             raise ValueError("checkpoint_every needs a checkpoint_path")
         if isinstance(scheduler, WalkScheduler):
             raise ValueError(
-                "in-run checkpointing needs a registry scheduler name "
-                "(a resume rebuilds the scheduler from the config)"
+                "in-run checkpointing needs a registry scheduler name"
             )
     config = config or baseline_config()
     scheduler_instance: Optional[WalkScheduler] = None
@@ -391,23 +356,10 @@ def run_simulation(
             install_standard_metrics(system, registry), metrics_interval_events
         )
 
-    meta: Dict[str, Any] = {
-        "workload": bench.abbrev,
-        "num_wavefronts": num_wavefronts,
-        "scale": scale,
-        "seed": seed,
-        "max_cycles": max_cycles,
-        "watchdog_cycles": watchdog_cycles,
-        "watchdog_interval_events": watchdog_interval_events,
-        "metrics": metrics,
-        "metrics_interval_events": metrics_interval_events,
-        "trace": trace,
-    }
+    meta: Dict[str, Any] = {"workload": bench.abbrev, "max_cycles": max_cycles}
     if checkpoint_every is not None:
         system.simulator.add_monitor(
-            lambda: _write_run_checkpoint(
-                checkpoint_path, system, watchdog, registry, meta
-            ),
+            _CheckpointWriter(checkpoint_path, system, watchdog, registry, meta),
             checkpoint_every,
         )
 
@@ -524,62 +476,44 @@ def resume_simulation(
 ) -> SimulationResult:
     """Continue an interrupted run from an in-run checkpoint.
 
-    Rebuilds the system from the checkpoint's own config, re-installs
-    the same monitors in the same order, restores every component's
-    state — including the pending event queue — and runs to completion.
-    The returned result is bit-identical (up to wall-clock fields) to
-    the result the uninterrupted run would have produced.
+    Unpickles the harness the checkpoint holds — the system with its
+    pending event queue and monitors, the watchdog and the metrics
+    registry — and runs it to completion.  The returned result is
+    bit-identical (up to wall-clock fields) to the result the
+    uninterrupted run would have produced.
 
-    ``checkpoint_every`` re-arms periodic checkpointing on the resumed
-    run, overwriting ``checkpoint_path`` — the resumed run checkpoints
-    on the *same* event cadence as the original (the monitor's countdown
-    is part of the checkpoint), so chains of interruptions compose.
+    ``checkpoint_every`` keeps periodic checkpointing on the resumed
+    run, overwriting ``checkpoint_path``.  A checkpoint writer carried
+    in the checkpoint keeps its saved cadence and countdown, so the
+    resumed run checkpoints on the *same* event cadence as the original
+    and chains of interruptions compose; without ``checkpoint_every``
+    the writer is dropped.
     """
+    if checkpoint_every is not None and checkpoint_every <= 0:
+        raise ValueError(
+            f"checkpoint_every must be positive, got {checkpoint_every}"
+        )
     payload = load_checkpoint_file(checkpoint_path)
-    config: SystemConfig = payload["config"]
     meta: Dict[str, Any] = payload["meta"]
     state: Dict[str, Any] = payload["state"]
+    system: System = state["system"]
+    watchdog: Optional[Watchdog] = state["watchdog"]
+    registry: Optional[MetricsRegistry] = state["metrics"]
 
-    system = build_system(config, trace=meta.get("trace"))
-
-    watchdog: Optional[Watchdog] = None
-    if meta.get("watchdog_cycles") is not None:
-        watchdog = Watchdog(
-            system,
-            stall_cycles=meta["watchdog_cycles"],
-            check_interval_events=meta.get(
-                "watchdog_interval_events", DEFAULT_CHECK_INTERVAL_EVENTS
-            ),
-        )
-        watchdog.install()
-
-    registry: Optional[MetricsRegistry] = None
-    if meta.get("metrics"):
-        registry = MetricsRegistry()
+    monitors = system.simulator._monitors
+    writer = next(
+        (slot for slot in monitors if isinstance(slot[0], _CheckpointWriter)),
+        None,
+    )
+    if checkpoint_every is None:
+        monitors[:] = [slot for slot in monitors if slot is not writer]
+    elif writer is not None:
+        writer[0].path = checkpoint_path
+    else:
         system.simulator.add_monitor(
-            install_standard_metrics(system, registry),
-            meta.get("metrics_interval_events", DEFAULT_SAMPLE_INTERVAL_EVENTS),
-        )
-
-    if checkpoint_every is not None:
-        if checkpoint_every <= 0:
-            raise ValueError(
-                f"checkpoint_every must be positive, got {checkpoint_every}"
-            )
-        system.simulator.add_monitor(
-            lambda: _write_run_checkpoint(
-                checkpoint_path, system, watchdog, registry, meta
-            ),
+            _CheckpointWriter(checkpoint_path, system, watchdog, registry, meta),
             checkpoint_every,
         )
-
-    # Restore AFTER the monitors exist: the simulator re-applies their
-    # saved countdowns positionally.
-    restore_system(system, state["system"])
-    if watchdog is not None and "watchdog" in state:
-        watchdog.restore(state["watchdog"])
-    if registry is not None and "metrics" in state:
-        registry.restore(state["metrics"])
 
     run_until = max_cycles if max_cycles is not None else meta["max_cycles"]
     wall_start = time.perf_counter()
@@ -589,11 +523,10 @@ def resume_simulation(
         _dump_crash_checkpoint(checkpoint_path, system, watchdog, registry, meta)
         raise
     wall_seconds = time.perf_counter() - wall_start
-    trace_cfg = meta.get("trace")
     return _finish_run(
         system, meta["workload"], watchdog, registry, wall_seconds, run_until,
-        trace=trace_cfg, trace_path=trace_path,
-        trace_jsonl_path=trace_jsonl_path,
+        trace=system.tracer.config if system.tracer is not None else None,
+        trace_path=trace_path, trace_jsonl_path=trace_jsonl_path,
         checkpoint_path=checkpoint_path, checkpoint_meta=meta,
     )
 
@@ -1162,28 +1095,6 @@ def run_many(
     return [outcome.result for outcome in outcomes]
 
 
-def scheduler_sweep_specs(
-    workload: Union[str, Workload],
-    schedulers: Sequence[str],
-    config: Optional[SystemConfig] = None,
-    num_wavefronts: int = DEFAULT_WAVEFRONTS,
-    scale: float = 1.0,
-    seed: int = 0,
-) -> List[Dict[str, Any]]:
-    """One :func:`run_simulation` spec per scheduler, identical otherwise."""
-    return [
-        {
-            "workload": workload,
-            "config": config,
-            "scheduler": name,
-            "num_wavefronts": num_wavefronts,
-            "scale": scale,
-            "seed": seed,
-        }
-        for name in schedulers
-    ]
-
-
 def compare_schedulers(
     workload: Union[str, Workload],
     schedulers: Sequence[str] = ("fcfs", "simt"),
@@ -1201,13 +1112,13 @@ def compare_schedulers(
     per scheduler, capped at ``jobs``); results are identical to the
     serial path.
     """
-    specs = scheduler_sweep_specs(
-        workload,
+    specs = sweep_specs(
+        [workload],
         schedulers,
+        [seed],
         config=config,
         num_wavefronts=num_wavefronts,
         scale=scale,
-        seed=seed,
     )
     results = run_many(specs, jobs=jobs)
     return dict(zip(schedulers, results))

@@ -91,24 +91,6 @@ class ComputeUnit:
         """Close the last accounting interval at end of simulation."""
         self._accumulate()
 
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "resident": self._resident,
-            "active": self._active,
-            "last_change": self._last_change,
-            "stall_cycles": self.stall_cycles,
-            "busy_until": self.busy_until,
-            "l1_tlb": self.l1_tlb.snapshot(),
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        self._resident = state["resident"]
-        self._active = state["active"]
-        self._last_change = state["last_change"]
-        self.stall_cycles = state["stall_cycles"]
-        self.busy_until = state["busy_until"]
-        self.l1_tlb.restore(state["l1_tlb"])
-
     def stats(self) -> Dict[str, float]:
         return {
             "stall_cycles": self.stall_cycles,

@@ -69,25 +69,3 @@ class SetAssociativeCache:
             "evictions": self.evictions,
             "hit_rate": self.hit_rate,
         }
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        """Resident lines per set in LRU order, plus counters."""
-        return {
-            "sets": [list(entries) for entries in self._sets],
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        for entries, lines in zip(self._sets, state["sets"]):
-            entries.clear()
-            for line in lines:
-                entries[line] = None
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self.evictions = state["evictions"]

@@ -125,27 +125,3 @@ class DRAM:
             "row_hit_rate": self.row_hit_rate,
             "average_latency": self.average_latency,
         }
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "banks": list(zip(self._busy_until, self._open_row)),
-            "accesses": self.accesses,
-            "row_hits": self.row_hits,
-            "row_conflicts": self.row_conflicts,
-            "total_latency": self.total_latency,
-            "total_queue_delay": self.total_queue_delay,
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        banks = state["banks"]
-        self._busy_until = [busy_until for busy_until, _ in banks]
-        self._open_row = [open_row for _, open_row in banks]
-        self.accesses = state["accesses"]
-        self.row_hits = state["row_hits"]
-        self.row_conflicts = state["row_conflicts"]
-        self.total_latency = state["total_latency"]
-        self.total_queue_delay = state["total_queue_delay"]

@@ -132,41 +132,6 @@ class PageTable:
         self._mappings[vpn] = pfn
         return pfn
 
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        """Allocator cursor, interior-node tree and leaf mappings.
-
-        The table populates lazily during the run, so its contents are
-        run state: a resume must see the identical frame-allocation
-        order or physical addresses (and with them DRAM bank/row
-        behaviour) would diverge.  ``_Node`` objects are plain slotted
-        data, safe to serialise as-is.
-        """
-        return {
-            "allocator": (
-                self._allocator._next,
-                self._allocator._stride,
-                self._allocator._allocated,
-            ),
-            "root": self._root,
-            "mappings": dict(self._mappings),
-            "interior_nodes": self._interior_nodes,
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        self._allocator._next, self._allocator._stride, self._allocator._allocated = (
-            state["allocator"]
-        )
-        self._root = state["root"]
-        self._mappings = dict(state["mappings"])
-        self._interior_nodes = state["interior_nodes"]
-        # The restored tree may differ from the one the memo was built
-        # against (different node addresses); drop it and re-memoise.
-        self._walk_cache.clear()
-
     def walk_addresses(self, vpn: int) -> Tuple[Tuple[int, int], ...]:
         """The ``(level, pte_physical_address)`` pairs a full walk touches.
 

@@ -61,29 +61,6 @@ class _LevelCache:
         self.misses = 0
         self.guarded_evictions_avoided = 0
 
-    def snapshot(self) -> Dict[str, object]:
-        """Set contents (tag -> counter, in LRU order) plus counters."""
-        return {
-            "sets": [
-                [(tag, entry.counter) for tag, entry in entries.items()]
-                for entries in self._sets
-            ],
-            "hits": self.hits,
-            "misses": self.misses,
-            "guarded_evictions_avoided": self.guarded_evictions_avoided,
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        for entries, dump in zip(self._sets, state["sets"]):
-            entries.clear()
-            for tag, counter in dump:
-                entry = _Entry()
-                entry.counter = counter
-                entries[tag] = entry
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self.guarded_evictions_avoided = state["guarded_evictions_avoided"]
-
     def _evict(self, entries: "OrderedDict[int, _Entry]") -> None:
         if self._guard:
             # Victimise the LRU entry whose counter is zero; fall back to
@@ -274,14 +251,3 @@ class PageWalkCache:
             }
             for level, cache in self._levels.items()
         }
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[int, Dict[str, object]]:
-        return {level: cache.snapshot() for level, cache in self._levels.items()}
-
-    def restore(self, state: Dict[int, Dict[str, object]]) -> None:
-        for level, cache in self._levels.items():
-            cache.restore(state[level])

@@ -125,24 +125,3 @@ class TLB:
             "evictions": self.evictions,
             "hit_rate": self.hit_rate,
         }
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        """Set contents in LRU order plus hit/miss/eviction counters."""
-        return {
-            "sets": [list(entries.items()) for entries in self._sets],
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        for entries, dump in zip(self._sets, state["sets"]):
-            entries.clear()
-            entries.update(dump)
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self.evictions = state["evictions"]

@@ -67,7 +67,8 @@ from typing import (
     Union,
 )
 
-from repro.obs.trace import PID_WALKERS
+from repro.obs.aggregate import sweep_specs
+from repro.obs.trace import PID_WALKERS, TraceConfig
 
 #: Report identity for the blame document.
 BLAME_REPORT_FORMAT = "repro-blame"
@@ -719,34 +720,22 @@ def blame_sweep_specs(
     scale: float = 0.1,
     ring_size: int = BLAME_RING_SIZE,
 ) -> List[Dict[str, Any]]:
-    """``run_many`` specs for a blame sweep: every run traced with the
-    walk+job categories embedded, so :func:`blame_sweep_report` can
-    attribute it.  Ordering (workloads → schedulers → seeds) matches
-    :func:`repro.obs.aggregate.sweep_specs`."""
-    from repro.obs.trace import TraceConfig
-
+    """``run_many`` specs for a blame sweep: the
+    :func:`repro.obs.aggregate.sweep_specs` matrix with metrics on and
+    every run traced with the walk+job categories embedded, so
+    :func:`blame_sweep_report` can attribute it."""
     trace = TraceConfig(
         categories=BLAME_CATEGORIES,
         ring_size=ring_size,
         embed_events=True,
     )
-    specs: List[Dict[str, Any]] = []
-    for workload in workloads:
-        for scheduler in schedulers:
-            for seed in seeds:
-                spec: Dict[str, Any] = {
-                    "workload": workload,
-                    "scheduler": scheduler,
-                    "seed": seed,
-                    "num_wavefronts": num_wavefronts,
-                    "scale": scale,
-                    "trace": trace,
-                    "metrics": True,
-                }
-                if config is not None:
-                    spec["config"] = config
-                specs.append(spec)
-    return specs
+    return [
+        dict(spec, trace=trace)
+        for spec in sweep_specs(
+            workloads, schedulers, seeds, config=config,
+            num_wavefronts=num_wavefronts, scale=scale, metrics=True,
+        )
+    ]
 
 
 # ----------------------------------------------------------------------

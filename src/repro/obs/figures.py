@@ -29,8 +29,8 @@ Registered figures (``python -m repro figures --list``):
 ``fig9_stalls``         CU stall cycles normalised to baseline (Fig 9)
 ``fig10_latency_gap``   last-first walk latency gap, normalised (Fig 10)
 ``fig11_walk_count``    page walks dispatched, normalised (Fig 11)
-``fig13_sensitivity``   geomean speedup vs wavefront count (Fig 13)
-``fig14_sensitivity``   geomean speedup vs footprint scale (Fig 14)
+``wavefront_sensitivity``  geomean speedup vs wavefront count
+``scale_sensitivity``   geomean speedup vs footprint scale
 ``scheduler_comparison``  normalised-runtime heatmap, any scheduler set
 ``latency_cdf``         walk-latency CDF per scheduler (needs --metrics)
 ``blame_stage_share``   stacked walk-stage shares per scheduler (--metrics)
@@ -705,28 +705,28 @@ def _sensitivity_figure(name: str, axis: str, axis_title: str, data: CampaignDat
 
 
 @register_figure(
-    "fig13_sensitivity",
+    "wavefront_sensitivity",
     "Sensitivity: geomean speedup vs wavefront count",
-    "Paper Fig. 13's shape over the campaign's swept axis — geomean "
-    "speedup per scheduler as concurrency (wavefronts) grows; feed "
-    "several campaign reports to widen the axis.",
+    "Geomean speedup per scheduler as concurrency (wavefronts) grows "
+    "across the campaign's swept axis; feed several campaign reports "
+    "to widen the axis.",
 )
-def fig13_sensitivity(data: CampaignData) -> Figure:
+def wavefront_sensitivity(data: CampaignData) -> Figure:
     return _sensitivity_figure(
-        "fig13_sensitivity", "wavefronts", "wavefronts per run", data
+        "wavefront_sensitivity", "wavefronts", "wavefronts per run", data
     )
 
 
 @register_figure(
-    "fig14_sensitivity",
+    "scale_sensitivity",
     "Sensitivity: geomean speedup vs footprint scale",
-    "Paper Fig. 14's shape over the campaign's swept axis — geomean "
-    "speedup per scheduler as the workload footprint scale grows; feed "
-    "several campaign reports to widen the axis.",
+    "Geomean speedup per scheduler as the workload footprint scale "
+    "grows across the campaign's swept axis; feed several campaign "
+    "reports to widen the axis.",
 )
-def fig14_sensitivity(data: CampaignData) -> Figure:
+def scale_sensitivity(data: CampaignData) -> Figure:
     return _sensitivity_figure(
-        "fig14_sensitivity", "scale", "workload scale", data
+        "scale_sensitivity", "scale", "workload scale", data
     )
 
 

@@ -23,7 +23,7 @@ Instruments are deliberately tiny (no labels, no exposition format):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.stats.counters import BucketHistogram
 
@@ -226,53 +226,6 @@ class MetricsRegistry:
         registry.samples_taken = int(data.get("samples_taken", 0))
         return registry
 
-    # -- checkpointing ---------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        """Exact registry state, including the decimation stride/skip
-        that :meth:`as_dict` does not carry (resume must keep sampling
-        on the same cadence)."""
-        return {
-            "counters": {
-                name: counter.value for name, counter in self._counters.items()
-            },
-            "gauges": {
-                name: (gauge.value, gauge.min_value, gauge.max_value, gauge.samples)
-                for name, gauge in self._gauges.items()
-            },
-            "histograms": {
-                name: (
-                    histogram.bucket_bounds(),
-                    histogram.counts(),
-                    histogram.out_of_range,
-                )
-                for name, histogram in self._histograms.items()
-            },
-            "series": list(self.series),
-            "series_stride": self._series_stride,
-            "series_skip": self._series_skip,
-            "samples_taken": self.samples_taken,
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        self._counters = {}
-        for name, value in state["counters"].items():
-            counter = self.counter(name)
-            counter.value = value
-        self._gauges = {}
-        for name, dump in state["gauges"].items():
-            gauge = self.gauge(name)
-            gauge.value, gauge.min_value, gauge.max_value, gauge.samples = dump
-        self._histograms = {}
-        for name, (bounds, counts, out_of_range) in state["histograms"].items():
-            self._histograms[name] = BucketHistogram.from_counts(
-                bounds, counts, out_of_range
-            )
-        self.series = list(state["series"])
-        self._series_stride = state["series_stride"]
-        self._series_skip = state["series_skip"]
-        self.samples_taken = state["samples_taken"]
-
     # -- export ---------------------------------------------------------
 
     def as_dict(self) -> Dict[str, object]:
@@ -310,44 +263,47 @@ class MetricsRegistry:
         }
 
 
-def install_standard_metrics(system, registry: MetricsRegistry) -> Callable[[], None]:
-    """Wire the standard pipeline gauges; returns the sampler callback.
+class StandardMetricsSampler:
+    """The standard pipeline sampler, one :meth:`Simulator.add_monitor`
+    callback.
 
-    The callback is meant for :meth:`Simulator.add_monitor`: each firing
-    refreshes every gauge from live model state, feeds the depth
-    histograms, and appends one time-series row.  It reads state only —
-    attaching it never changes simulation behaviour.
+    Each firing refreshes every gauge from live model state, feeds the
+    depth histograms, and appends one time-series row.  It reads state
+    only — attaching it never changes simulation behaviour.  A class
+    rather than a closure so in-run checkpoints can pickle it.
     """
-    iommu = system.iommu
-    gpu = system.gpu
-    memory = system.memory
-    simulator = system.simulator
 
-    pending = registry.gauge("iommu.pending_walks")
-    overflow = registry.gauge("iommu.overflow_queued")
-    busy_walkers = registry.gauge("iommu.busy_walkers")
-    depth_histogram = registry.histogram("iommu.pending_depth")
-    retired = registry.gauge("gpu.instructions_retired")
-    running = registry.gauge("gpu.running_wavefronts")
-    dram_queue = registry.gauge("dram.queued_requests")
+    def __init__(self, system, registry: MetricsRegistry) -> None:
+        self.system = system
+        self.registry = registry
+        self.pending = registry.gauge("iommu.pending_walks")
+        self.overflow = registry.gauge("iommu.overflow_queued")
+        self.busy_walkers = registry.gauge("iommu.busy_walkers")
+        self.depth_histogram = registry.histogram("iommu.pending_depth")
+        self.retired = registry.gauge("gpu.instructions_retired")
+        self.running = registry.gauge("gpu.running_wavefronts")
+        self.dram_queue = registry.gauge("dram.queued_requests")
 
-    scheduler = iommu.scheduler
-    walkers = iommu.walkers
-    controller = memory.controller
-
-    def sample() -> None:
-        now = simulator.now
+    def __call__(self) -> None:
+        system = self.system
+        registry = self.registry
+        iommu = system.iommu
+        gpu = system.gpu
         depth = len(iommu.buffer)
-        pending.set(depth)
-        depth_histogram.add(depth)
-        overflow.set(iommu.overflow_queued)
-        busy_walkers.set(sum(1 for walker in walkers if walker.is_busy))
-        retired.set(gpu.instructions_retired)
-        running.set(gpu.running_wavefronts)
+        self.pending.set(depth)
+        self.depth_histogram.add(depth)
+        self.overflow.set(iommu.overflow_queued)
+        self.busy_walkers.set(
+            sum(1 for walker in iommu.walkers if walker.is_busy)
+        )
+        self.retired.set(gpu.instructions_retired)
+        self.running.set(gpu.running_wavefronts)
+        controller = system.memory.controller
         if controller is not None:
-            dram_queue.set(controller.queued_requests)
+            self.dram_queue.set(controller.queued_requests)
         # Scheduler-policy observability: bypass/aging and SJF-vs-batch
         # pick counts, for the policies that keep them.
+        scheduler = iommu.scheduler
         aging = getattr(scheduler, "aging", None)
         if aging is not None:
             registry.gauge("scheduler.aging_promotions").set(aging.promotions)
@@ -355,9 +311,15 @@ def install_standard_metrics(system, registry: MetricsRegistry) -> Callable[[], 
         if batch_hits is not None:
             registry.gauge("scheduler.batch_hits").set(batch_hits)
             registry.gauge("scheduler.sjf_picks").set(scheduler.sjf_picks)
-        registry.sample(now)
+        registry.sample(system.simulator.now)
 
-    return sample
+
+def install_standard_metrics(
+    system, registry: MetricsRegistry
+) -> StandardMetricsSampler:
+    """Wire the standard pipeline gauges; returns the sampler callback
+    for :meth:`Simulator.add_monitor`."""
+    return StandardMetricsSampler(system, registry)
 
 
 def finalize_standard_metrics(system, registry: MetricsRegistry) -> None:

@@ -35,7 +35,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Union
+from typing import Deque, Dict, FrozenSet, List, Optional, Union
 
 #: Every recognised event category.
 TRACE_CATEGORIES: FrozenSet[str] = frozenset(
@@ -405,22 +405,6 @@ class Tracer:
             "name": name, "ph": "C", "ts": now, "pid": pid, "tid": 0,
             "cat": "counter", "args": {"value": value},
         })
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "events": list(self._events),
-            "events_emitted": self.events_emitted,
-            "jobs": {key: list(window) for key, window in self._jobs.items()},
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        self._events = deque(state["events"], maxlen=self.config.ring_size)
-        self.events_emitted = state["events_emitted"]
-        self._jobs = {key: list(window) for key, window in state["jobs"].items()}
 
     # ------------------------------------------------------------------
     # Introspection and export

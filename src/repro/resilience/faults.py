@@ -49,7 +49,7 @@ Supported fault kinds
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -321,31 +321,6 @@ class FaultInjector:
             self._count("dram_spike")
             self._trace("dram_spike", now, {"extra_cycles": extra})
         return extra
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "rng": self._rng.getstate(),
-            "completion_remaining": [
-                fault.remaining for fault in self._completion_faults
-            ],
-            "injected": dict(self.injected),
-            "entries_corrupted": self.entries_corrupted,
-            "dropped_completions": self.dropped_completions,
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        self._rng.setstate(state["rng"])
-        for fault, remaining in zip(
-            self._completion_faults, state["completion_remaining"]
-        ):
-            fault.remaining = remaining
-        self.injected = dict(state["injected"])
-        self.entries_corrupted = state["entries_corrupted"]
-        self.dropped_completions = state["dropped_completions"]
 
     # ------------------------------------------------------------------
     # Reporting

