@@ -230,6 +230,11 @@ class PendingWalkBuffer:
             # The instruction's oldest pending entry may have changed;
             # refresh its index truth (stale keys expire lazily).
             self._push_instruction_key(entry.instruction_id)
+        else:
+            # Nothing else prunes the instruction's deque without score
+            # tracking; left alone it keeps every finished walk's entry
+            # (and its request) alive until the run ends.
+            self._oldest_of_instruction(entry.instruction_id)
 
     def account_direct_dispatch(
         self, instruction_id: int, estimated_accesses: int

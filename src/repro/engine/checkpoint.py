@@ -39,8 +39,9 @@ import uuid
 from typing import Any, Dict, Optional
 
 #: Bump when the blob layout or the pickled object graph changes
-#: incompatibly.  Version 3 pickles the harness objects whole.
-CHECKPOINT_VERSION = 3
+#: incompatibly.  Version 3 pickles the harness objects whole; version
+#: 4 data completions (``wf.line`` payloads) carry a line count.
+CHECKPOINT_VERSION = 4
 
 #: Identifies a repro checkpoint blob (first dict key checked on load).
 CHECKPOINT_FORMAT = "repro-checkpoint"

@@ -216,7 +216,9 @@ class Simulator:
         after ``until``, or after ``max_events`` events.  Returns the
         final simulation time.  When the queue empties before ``until``
         the clock stays at the last fired event (callers discover
-        premature drains by inspecting their own completion state).
+        premature drains by inspecting their own completion state); when
+        it stops at ``until`` the clock advances to ``until``, but never
+        moves backwards.
         """
         queue = self._queue
         handlers = self._handlers
@@ -247,7 +249,8 @@ class Simulator:
         while times:
             time = times[0]
             if time > stop:
-                self._now = until
+                if until > self._now:
+                    self._now = until
                 break
             if fired >= limit:
                 break

@@ -500,6 +500,9 @@ def resume_simulation(
     watchdog: Optional[Watchdog] = state["watchdog"]
     registry: Optional[MetricsRegistry] = state["metrics"]
 
+    run_until = max_cycles if max_cycles is not None else meta["max_cycles"]
+    # The checkpoints this run writes record the limit actually in force.
+    meta = dict(meta, max_cycles=run_until)
     monitors = system.simulator._monitors
     writer = next(
         (slot for slot in monitors if isinstance(slot[0], _CheckpointWriter)),
@@ -509,13 +512,13 @@ def resume_simulation(
         monitors[:] = [slot for slot in monitors if slot is not writer]
     elif writer is not None:
         writer[0].path = checkpoint_path
+        writer[0].meta = meta
     else:
         system.simulator.add_monitor(
             _CheckpointWriter(checkpoint_path, system, watchdog, registry, meta),
             checkpoint_every,
         )
 
-    run_until = max_cycles if max_cycles is not None else meta["max_cycles"]
     wall_start = time.perf_counter()
     try:
         system.simulator.run(until=run_until)

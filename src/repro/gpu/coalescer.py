@@ -13,7 +13,9 @@ paper's scheduler exists to manage.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from itertools import repeat
+from operator import and_
+from typing import Dict, List, Sequence
 
 from repro.config import LINE_SIZE
 from repro.mmu.address import vpn_of
@@ -41,16 +43,19 @@ class CoalescedInstruction:
         return sum(len(lines) for lines in self.lines_by_page.values())
 
 
-def coalesce(lane_addresses: Iterable[int]) -> CoalescedInstruction:
+def coalesce(lane_addresses: Sequence[int]) -> CoalescedInstruction:
     """Merge per-lane addresses into per-page, per-line unique accesses."""
     lines_by_page: Dict[int, List[int]] = {}
-    seen_lines: Dict[int, None] = {}
-    num_lanes = 0
-    for address in lane_addresses:
-        num_lanes += 1
-        line_address = (address // LINE_SIZE) * LINE_SIZE
-        if line_address in seen_lines:
-            continue
-        seen_lines[line_address] = None
-        lines_by_page.setdefault(vpn_of(address), []).append(line_address)
-    return CoalescedInstruction(lines_by_page, num_lanes)
+    # The dict keeps each line address once, in first-touch lane order;
+    # ``map`` aligns the lanes without a Python-level step per lane.
+    for line_address in dict.fromkeys(
+        map(and_, lane_addresses, repeat(-LINE_SIZE))
+    ):
+        vpn = vpn_of(line_address)
+        lines = lines_by_page.get(vpn)
+        if lines is None:
+            # Sized exactly: most divergent pages keep a single line.
+            lines_by_page[vpn] = [line_address]
+        else:
+            lines.append(line_address)
+    return CoalescedInstruction(lines_by_page, len(lane_addresses))

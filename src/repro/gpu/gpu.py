@@ -148,17 +148,19 @@ class GPU:
             vpn, pfn, lines, inflight
         )
 
-    def _wf_line(self, wavefront_id: int, inflight: _InflightInstruction) -> None:
-        self._wavefronts[wavefront_id]._line_complete(inflight)
+    def _wf_line(
+        self, wavefront_id: int, inflight: _InflightInstruction, lines: int
+    ) -> None:
+        self._wavefronts[wavefront_id]._line_complete(inflight, lines)
 
     def _iommu_translate(self, request: TranslationRequest) -> None:
         self.iommu.translate(request)
 
     # Batch twins of the routing trampolines above.  Each processes its
     # payload list in order, hoisting the registry lookup out of the
-    # engine loop; ``wf.line`` — the single hottest kind — additionally
-    # inlines ``Wavefront._line_complete``'s fast path (decrement, still
-    # outstanding, done).
+    # engine loop; ``wf.line`` additionally inlines
+    # ``Wavefront._line_complete``'s fast path (subtract the line count,
+    # still outstanding, done).
 
     def _wf_issue_batch(self, payloads) -> None:
         wavefronts = self._wavefronts
@@ -189,8 +191,8 @@ class GPU:
 
     def _wf_line_batch(self, payloads) -> None:
         wavefronts = self._wavefronts
-        for wavefront_id, inflight in payloads:
-            remaining = inflight.outstanding_lines - 1
+        for wavefront_id, inflight, lines in payloads:
+            remaining = inflight.outstanding_lines - lines
             inflight.outstanding_lines = remaining
             if remaining <= 0:
                 wavefronts[wavefront_id]._instruction_complete(inflight)

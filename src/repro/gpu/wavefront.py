@@ -159,10 +159,11 @@ class Wavefront:
         gpu.instruction_records.append(record)
 
         access = coalesce(lane_addresses)
+        num_lines = access.num_lines
         record.num_pages = access.num_pages
-        record.num_lines = access.num_lines
+        record.num_lines = num_lines
 
-        if access.num_lines == 0:
+        if num_lines == 0:
             # A no-op instruction (all lanes inactive): retires instantly
             # and never occupies an in-flight slot.
             record.complete_time = gpu.sim.now
@@ -170,14 +171,17 @@ class Wavefront:
             return
 
         self._outstanding += 1
-        inflight = _InflightInstruction(record, access.num_lines)
+        inflight = _InflightInstruction(record, num_lines)
         # Regroup the coalescer's per-4KB-page line lists into translation
-        # units (identical under 4 KB pages; 512 pages merge per unit
-        # under 2 MB large pages).
+        # units: 512 pages merge per unit under 2 MB large pages, while
+        # under 4 KB pages each page already is a unit.
         unit_shift = gpu.geometry.page_shift - PAGE_SHIFT
-        groups: Dict[int, List[int]] = {}
-        for page_vpn, lines in access.lines_by_page.items():
-            groups.setdefault(page_vpn >> unit_shift, []).extend(lines)
+        if unit_shift:
+            groups: Dict[int, List[int]] = {}
+            for page_vpn, lines in access.lines_by_page.items():
+                groups.setdefault(page_vpn >> unit_shift, []).extend(lines)
+        else:
+            groups = access.lines_by_page
         # The coalescer/L1-TLB port handles a few unique pages per cycle,
         # so a divergent instruction's translation requests trickle out
         # over several cycles rather than appearing as one atomic burst.
@@ -300,18 +304,17 @@ class Wavefront:
     def _data_phase(
         self, pfn: int, lines: List[int], inflight: _InflightInstruction
     ) -> None:
-        gpu = self._gpu
-        geometry = gpu.geometry
+        geometry = self._gpu.geometry
         frame_base = geometry.frame_base(pfn)
-        offset = geometry.offset
-        target = ("wf.line", self.wavefront_id, inflight)
-        data_access = gpu.memory.data_access
-        cu_id = self.cu_id
-        for line_va in lines:
-            data_access(cu_id, frame_base + offset(line_va), target)
+        mask = geometry.page_size - 1
+        self._gpu.memory.data_access(
+            self.cu_id,
+            [frame_base | (line_va & mask) for line_va in lines],
+            ("wf.line", self.wavefront_id, inflight),
+        )
 
-    def _line_complete(self, inflight: _InflightInstruction) -> None:
-        inflight.outstanding_lines -= 1
+    def _line_complete(self, inflight: _InflightInstruction, lines: int) -> None:
+        inflight.outstanding_lines -= lines
         if inflight.outstanding_lines > 0:
             return
         self._instruction_complete(inflight)

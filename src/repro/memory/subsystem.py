@@ -20,7 +20,8 @@ class MemorySubsystem:
     """Glues caches and DRAM together behind two entry points.
 
     ``data_access``
-        A coalesced lane access from a CU: L1 → L2 → DRAM.
+        One translation unit's coalesced line accesses from a CU:
+        L1 → L2 → DRAM.
 
     ``page_table_read``
         A page-table read from an IOMMU walker.  Walkers sit in the CPU
@@ -89,34 +90,59 @@ class MemorySubsystem:
             read(physical_address, on_complete)
 
     def data_access(
-        self, cu_id: int, physical_address: int, on_complete: tuple
+        self, cu_id: int, physical_addresses: List[int], on_complete: tuple
     ) -> None:
-        """Issue one coalesced data access; the ``on_complete`` target
-        fires when the data returns."""
-        self.data_accesses += 1
-        line = physical_address // LINE_SIZE
+        """Issue one translation unit's coalesced line accesses.
+
+        The ``on_complete`` target fires with the number of lines it
+        covers appended.  Under the reservation DRAM every line's
+        completion cycle is known at issue, so it fires once, at the
+        latest line's cycle, covering them all; an instruction retires
+        on its last line, so the earlier lines need no event of their
+        own.  Under the queued controller each line completes on its
+        own and fires it with a count of 1.
+        """
+        self.data_accesses += len(physical_addresses)
+        sim = self._sim
         l1 = self.l1_caches[cu_id]
-        if l1.access(line):
-            self._sim.post(self._config.l1_cache.hit_latency, *on_complete)
+        l2 = self.l2_cache
+        l1_latency = self._config.l1_cache.hit_latency
+        l2_latency = l1_latency + self._config.l2_cache.hit_latency
+        dram = self.dram
+        if dram is None:
+            per_line = (*on_complete, 1)
+            for address in physical_addresses:
+                line = address // LINE_SIZE
+                if l1.access(line):
+                    sim.post(l1_latency, *per_line)
+                elif l2.access(line):
+                    l1.fill(line)
+                    sim.post(l2_latency, *per_line)
+                else:
+                    l2.fill(line)
+                    l1.fill(line)
+                    sim.post(l2_latency, "mem.ctrl_read", address, per_line)
             return
-        l2_latency = self._config.l1_cache.hit_latency + self._config.l2_cache.hit_latency
-        if self.l2_cache.access(line):
-            l1.fill(line)
-            self._sim.post(l2_latency, *on_complete)
-            return
-        self.l2_cache.fill(line)
-        l1.fill(line)
-        if self.dram is not None:
-            start = self._sim._now + l2_latency
-            done = self.dram.access(physical_address, start)
-            if self._injector is not None:
-                done += self._injector.dram_padding(start)
-            self._sim.post_at(done, *on_complete)
-        else:
-            assert self.controller is not None
-            self._sim.post(
-                l2_latency, "mem.ctrl_read", physical_address, on_complete
-            )
+        now = sim._now
+        injector = self._injector
+        latest = now
+        for address in physical_addresses:
+            line = address // LINE_SIZE
+            if l1.access(line):
+                done = now + l1_latency
+            elif l2.access(line):
+                l1.fill(line)
+                done = now + l2_latency
+            else:
+                l2.fill(line)
+                l1.fill(line)
+                start = now + l2_latency
+                done = dram.access(address, start)
+                if injector is not None:
+                    done += injector.dram_padding(start)
+            if done > latest:
+                latest = done
+        sim.post_at(latest, *on_complete, len(physical_addresses))
 
     def page_table_read(
         self, physical_address: int, on_complete: tuple

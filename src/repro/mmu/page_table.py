@@ -92,6 +92,13 @@ class PageTable:
         #: root-to-leaf address list is computed once per vpn.
         self._walk_cache: Dict[int, Tuple[Tuple[int, int], ...]] = {}
 
+    def __getstate__(self) -> Dict[str, object]:
+        # The walk memo is derived from the tree and refills lazily, so
+        # checkpoints leave it out.
+        state = self.__dict__.copy()
+        state["_walk_cache"] = {}
+        return state
+
     def _allocate_node_address(self) -> int:
         return self._allocator.allocate() << PAGE_SHIFT
 

@@ -208,6 +208,22 @@ def test_track_scores_false_skips_score_index():
         buffer.min_score_entry()
 
 
+def test_track_scores_false_releases_removed_entries():
+    # Without score tracking nothing queries the per-instruction index,
+    # so removal itself must prune it, or every finished walk's entry
+    # (and its request) stays alive for the rest of the run.
+    buffer = PendingWalkBuffer(8, track_scores=False)
+    first = buffer.add(make_request(vpn=1, instruction_id=1), 0)
+    second = buffer.add(make_request(vpn=2, instruction_id=1), 1)
+    other = buffer.add(make_request(vpn=3, instruction_id=2), 2)
+    buffer.remove(second)
+    assert buffer.oldest_for_instruction(1) is first
+    buffer.remove(first)
+    buffer.remove(other)
+    assert buffer._by_instruction == {}
+    assert buffer.oldest_for_instruction(1) is None
+
+
 def _queries(buffer):
     """Every query a scheduler can make, as comparable plain data."""
     seq = lambda entry: None if entry is None else entry.arrival_seq  # noqa: E731

@@ -167,6 +167,46 @@ def test_chained_interruptions_compose(baselines, tmp_path):
     assert _fingerprint(resumed) == want
 
 
+def test_resume_with_spent_budget_keeps_the_clock(baselines, tmp_path):
+    # Interrupt at T/3, resume to 2T/3, then resume with no explicit
+    # limit: the budget in force (2T/3) is already spent, so the run
+    # stops where it is — the clock must not rewind to the first run's
+    # T/3 limit, and the crash checkpoint must record the limit that was
+    # in force.  A final resume still finishes bit-identical.
+    want = baselines("simt")
+    third = want["total_cycles"] // 3
+    path = tmp_path / "crash.ckpt"
+    _interrupt_at("simt", third, path)
+    with pytest.raises(WatchdogError):
+        resume_simulation(
+            str(path), max_cycles=2 * third, checkpoint_every=EVERY
+        )
+    meta = pickle.loads(path.read_bytes())["meta"]
+    assert meta["max_cycles"] == 2 * third
+    stopped_at = meta["cycle"]
+    assert stopped_at >= 2 * third
+    with pytest.raises(WatchdogError):
+        resume_simulation(str(path))
+    payload = pickle.loads(path.read_bytes())
+    assert payload["meta"]["cycle"] == stopped_at
+    assert payload["state"]["system"].simulator.now == stopped_at
+    resumed = resume_simulation(str(path), max_cycles=MAX_CYCLES)
+    assert _fingerprint(resumed) == want
+
+
+def test_checkpoint_leaves_out_the_walk_memo(baselines, tmp_path):
+    # The page table's walk memo is rebuilt from the tree after a
+    # resume; leaving it out of the blob must not change the result.
+    want = baselines("simt")
+    path = tmp_path / "crash.ckpt"
+    _interrupt_at("simt", want["total_cycles"] // 2, path)
+    page_table = pickle.loads(path.read_bytes())["state"]["system"].page_table
+    assert page_table.mapped_pages > 0
+    assert page_table._walk_cache == {}
+    resumed = resume_simulation(str(path), max_cycles=MAX_CYCLES)
+    assert _fingerprint(resumed) == want
+
+
 # ----------------------------------------------------------------------
 # Orthogonal subsystems survive the round trip
 # ----------------------------------------------------------------------
@@ -320,6 +360,18 @@ def test_version_2_checkpoint_is_refused(tmp_path):
     payload["version"] = 2
     path.write_bytes(pickle.dumps(payload))
     with pytest.raises(CheckpointError, match="version 2 unsupported"):
+        resume_simulation(str(path))
+
+
+def test_version_3_checkpoint_is_refused(tmp_path):
+    # Relabel a real checkpoint as version 3 (data completions without a
+    # line count): resuming it would fail mid-run, so it is refused.
+    path = tmp_path / "run.ckpt"
+    _run("fcfs", checkpoint_every=EVERY, checkpoint_path=str(path))
+    payload = pickle.loads(path.read_bytes())
+    payload["version"] = 3
+    path.write_bytes(pickle.dumps(payload))
+    with pytest.raises(CheckpointError, match="version 3 unsupported"):
         resume_simulation(str(path))
 
 

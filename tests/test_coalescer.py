@@ -1,5 +1,7 @@
 """Unit tests for the hardware coalescer model."""
 
+import pytest
+
 from repro.config import LINE_SIZE, PAGE_SIZE
 from repro.gpu.coalescer import coalesce
 
@@ -69,3 +71,21 @@ def test_regular_unit_stride_instruction():
     access = coalesce(addresses)
     assert access.num_pages == 1
     assert access.num_lines == 8
+
+
+def test_duplicate_lanes_keep_first_touch_order():
+    # Lanes revisit earlier lines and pages; each line is listed once,
+    # where its first lane touched it.
+    addresses = [
+        PAGE_SIZE + 0x80, 0x40, PAGE_SIZE + 0x84, 0x0, 0x44, PAGE_SIZE,
+    ]
+    access = coalesce(addresses)
+    assert list(access.lines_by_page) == [1, 0]
+    assert access.lines_by_page[1] == [PAGE_SIZE + 0x80, PAGE_SIZE]
+    assert access.lines_by_page[0] == [0x40, 0x0]
+    assert access.num_lanes == 6
+
+
+def test_negative_address_is_rejected():
+    with pytest.raises(ValueError):
+        coalesce([0x1000, -8])

@@ -1,5 +1,7 @@
 """Unit tests for the radix page table and frame allocator."""
 
+import pickle
+
 import pytest
 
 from repro.config import PAGE_SIZE, PAGE_TABLE_LEVELS
@@ -98,3 +100,15 @@ class TestPageTable:
 
     def test_root_address_is_page_aligned(self):
         assert PageTable().root_address % PAGE_SIZE == 0
+
+
+def test_unpickled_page_table_has_empty_walk_memo():
+    table = PageTable()
+    paths = {vpn: table.walk_addresses(vpn) for vpn in (5, 70_000, 5 << 20)}
+    clone = pickle.loads(pickle.dumps(table))
+    assert clone._walk_cache == {}
+    assert clone.mapped_pages == table.mapped_pages
+    # The memo refills lazily with the same paths and maps nothing new.
+    assert {vpn: clone.walk_addresses(vpn) for vpn in paths} == paths
+    assert clone.mapped_pages == table.mapped_pages
+    assert clone.interior_nodes == table.interior_nodes

@@ -72,6 +72,19 @@ def test_run_until_stops_before_later_events():
     assert [payload for payload, _ in fired] == [("a",), ("b",)]
 
 
+def test_run_until_behind_the_clock_never_rewinds_it():
+    # A resume whose cycle budget is already spent stops at once; the
+    # clock stays where the earlier run left it.
+    sim, fired = recording_sim()
+    sim.post(10, "fire", "a")
+    sim.post(100, "fire", "b")
+    sim.run(until=50)
+    assert sim.run(until=20) == 50
+    assert sim.now == 50
+    assert sim.pending_events == 1
+    assert [payload for payload, _ in fired] == [("a",)]
+
+
 def test_run_max_events_limits_work():
     sim, fired = recording_sim()
     for i in range(5):
